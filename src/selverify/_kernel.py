@@ -38,6 +38,11 @@ ACTION_REJECT = 1
 ACTION_STRONG_VERIFY = 2
 
 
+def kernel_backend() -> str:
+    """Which path `run_rounds` takes: "numba" (compiled) or "python"."""
+    return "numba" if _HAVE_NUMBA else "python"
+
+
 @njit(cache=True)
 def run_rounds(
     w,

@@ -19,15 +19,16 @@ error, 3 validation error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import os
 import sys
 import tempfile
-from typing import Optional
+from typing import Iterator, Optional, TextIO
 
-from . import __version__
+from . import __version__, kernel_backend
 from .distributions import dist_from_dict
 from .experiments import (
     ParetoPoint,
@@ -118,13 +119,16 @@ def _resolve_output(path: Optional[str], default_name: str) -> str:
     return out
 
 
-def _atomic_write(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_write(path: str) -> Iterator[TextIO]:
+    """A text file to write `path` through: it appears under that name only
+    once the block completes."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -157,14 +161,15 @@ def cmd_simulate(args) -> int:
         seed_base=int(cfg.get("seed_base", 0)),
     )
     trace = run_rep(spec, rep)
+    print(f"kernel backend: {kernel_backend()}", file=sys.stderr)
     echo = dict(trace.config)
     echo["delta"] = delta
     bounds = verify_bound(trace, delta)
-    lines = [_dumps({"config": echo, "version": __version__})]
-    lines.extend(_dumps(rec) for rec in trace.iter_records())
-    lines.append(_dumps({"metrics": _summary_metrics(trace.ledger), "bounds": bounds}))
     out = _resolve_output(args.output, "trace.jsonl")
-    _atomic_write(out, "\n".join(lines) + "\n")
+    with _atomic_write(out) as fh:
+        fh.write(_dumps({"config": echo, "version": __version__}) + "\n")
+        trace.write_records(fh)
+        fh.write(_dumps({"metrics": _summary_metrics(trace.ledger), "bounds": bounds}) + "\n")
     m = _summary_metrics(trace.ledger)
     print(f"wrote {len(trace)} rounds to {out}")
     print(
@@ -243,7 +248,8 @@ def cmd_sweep(args) -> int:
     for p in rows:
         writer.writerow(point_to_row(p))
     out = _resolve_output(args.output, "sweep.csv")
-    _atomic_write(out, buf.getvalue())
+    with _atomic_write(out) as fh:
+        fh.write(buf.getvalue())
     print(f"wrote {len(rows)} rows to {out}")
     for p in rows:
         tag = "oracle" if p.is_oracle else "weak_only" if p.is_weak_only else f"a={p.alpha} b={p.beta}"
@@ -304,7 +310,8 @@ def cmd_population(args) -> int:
         if gap > tol:
             all_ok = False
     out = _resolve_output(args.output, "population.jsonl")
-    _atomic_write(out, "\n".join(lines) + "\n")
+    with _atomic_write(out) as fh:
+        fh.write("\n".join(lines) + "\n")
     print(f"wrote {len(lines)} lines to {out}")
     print(
         f"grid oracle agreement: worst |value - brute_force_value| = {worst_gap:.3e} "
@@ -314,19 +321,32 @@ def cmd_population(args) -> int:
 
 
 def _parse_trace_file(path: str) -> tuple[dict, Trace, Optional[dict]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        objs = [json.loads(line) for line in fh if line.strip()]
-    if not objs:
-        raise ValueError("trace file is empty")
-    header = objs[0]
-    if not isinstance(header, dict) or "config" not in header or "version" not in header:
-        raise ValueError("first line must be a header object with config and version")
+    """Header, trace and summary (or None) of a `simulate` file, read one
+    line at a time. The summary is a `metrics` object on the last non-blank
+    line; any other line after the header must be a round record."""
     summary = None
-    body = objs[1:]
-    if body and isinstance(body[-1], dict) and "metrics" in body[-1]:
-        summary = body[-1]
-        body = body[:-1]
-    trace = Trace.from_records(header["config"], body)
+
+    def records(objs):
+        # holds each object back by one line, until it is known not to be last
+        nonlocal summary
+        prev = none = object()
+        for obj in objs:
+            if prev is not none:
+                yield prev
+            prev = obj
+        if isinstance(prev, dict) and "metrics" in prev:
+            summary = prev
+        elif prev is not none:
+            yield prev
+
+    with open(path, "r", encoding="utf-8") as fh:
+        objs = (json.loads(line) for line in fh if line.strip())
+        header = next(objs, None)
+        if header is None:
+            raise ValueError("trace file is empty")
+        if not isinstance(header, dict) or "config" not in header or "version" not in header:
+            raise ValueError("first line must be a header object with config and version")
+        trace = Trace.from_records(header["config"], records(objs))
     return header, trace, summary
 
 
@@ -336,7 +356,7 @@ def cmd_check(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read trace: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (KeyError, ValueError, TypeError, IndexError) as exc:
+    except (KeyError, ValueError, TypeError, IndexError, OverflowError) as exc:
         print(f"error: malformed trace: {exc}", file=sys.stderr)
         return EXIT_IO
     delta = args.delta
@@ -387,7 +407,8 @@ def cmd_diagnose(args) -> int:
         seed=seed,
     )
     out = _resolve_output(args.output, "diagnose.json")
-    _atomic_write(out, _dumps(report) + "\n")
+    with _atomic_write(out) as fh:
+        fh.write(_dumps(report) + "\n")
     print(f"wrote diagnostics to {out}")
     print(f"samples={report['samples']}")
     print(

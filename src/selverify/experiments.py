@@ -11,23 +11,19 @@ shared across targets and anchors so comparisons are paired.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import json
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
 from . import _kernel
-from ._kernel import (
-    ACTION_ACCEPT,
-    ACTION_REJECT,
-    ACTION_STRONG_VERIFY,
-    REGION_ACCEPT,
-    REGION_REJECT,
-    REGION_UNCERTAIN,
-)
+from ._kernel import ACTION_ACCEPT, ACTION_REJECT, ACTION_STRONG_VERIFY
 from .metrics import ErrorLedger, delta_bound
-from .policy import Action, PolicyConfig, Region, VerificationPolicy
+from .policy import Action, PolicyConfig, VerificationPolicy
 from .streams import (
     CalibratedStream,
     MiscalibratedStream,
@@ -56,16 +52,82 @@ __all__ = [
 
 REGION_NAMES = ("accept", "reject", "uncertain")
 ACTION_NAMES = ("accept", "reject", "strong_verify")
-_REGION_CODE = {
-    Region.ACCEPT: REGION_ACCEPT,
-    Region.REJECT: REGION_REJECT,
-    Region.UNCERTAIN: REGION_UNCERTAIN,
-}
-_ACTION_CODE = {
-    Action.ACCEPT: ACTION_ACCEPT,
-    Action.REJECT: ACTION_REJECT,
-    Action.STRONG_VERIFY: ACTION_STRONG_VERIFY,
-}
+
+
+def _json_numbers(vals: list) -> list[str]:
+    """JSON text of ints and floats, as json.dumps writes them."""
+    # json.dumps spells the non-finite floats NaN, Infinity and -Infinity
+    return [repr(v) if math.isfinite(v) else json.dumps(v) for v in vals]
+
+
+def _json_values(vals: list) -> list[str]:
+    return [json.dumps(v) for v in vals]
+
+
+@dataclass(frozen=True)
+class _Column:
+    """One trace column: its JSON key, its `Trace` attribute, its dtype and
+    the encoder from a list of record values to their JSON text. An enum
+    column stores the index of a name in `names` and its records carry the
+    name. An optional column stores -1 on rounds whose record leaves its
+    key out."""
+
+    key: str
+    attr: str
+    dtype: type
+    encode: Callable[[list], list[str]] = _json_numbers
+    names: tuple = ()
+    optional: bool = False
+
+    def values(self, a: np.ndarray) -> list:
+        """Record values of a slice of the column, as Python scalars."""
+        vals = np.asarray(a, self.dtype).tolist()
+        return [self.names[v] for v in vals] if self.names else vals
+
+    def cells(self, a: np.ndarray, head: str, tail: str) -> list[str]:
+        """`head + JSON value + tail` for each value of a slice, or "" where
+        an optional key is left out. Each distinct bit pattern is encoded
+        once, so -0.0 and 0.0 keep their own spellings."""
+        a = np.ascontiguousarray(a, self.dtype)
+        bits, inv = np.unique(a.view(f"i{a.itemsize}"), return_inverse=True)
+        vals = self.values(bits.view(self.dtype))
+        text = [head + s + tail for s in self.encode(vals)]
+        if self.optional:
+            text = ["" if v < 0 else s for v, s in zip(vals, text)]
+        return np.array(text, dtype=object)[inv].tolist()
+
+    def parse(self, vals: Sequence) -> np.ndarray:
+        """The column of a sequence of record values, each converted as
+        array item assignment converts it."""
+        if self.names:
+            codes = {n: i for i, n in enumerate(self.names)}
+            vals = [codes[v] for v in vals]
+        return np.fromiter(vals, self.dtype, count=len(vals))
+
+
+# The columns of a trace, in the key order of `iter_records`.
+_COLUMNS = (
+    _Column("t", "t", np.int64),
+    _Column("w", "w", np.float64),
+    _Column("region", "region", np.int64, _json_values, REGION_NAMES),
+    _Column("action", "action", np.int64, _json_values, ACTION_NAMES),
+    _Column("q_t", "q", np.float64),
+    _Column("explored", "explored", np.bool_, _json_values),
+    _Column("g_latent", "g_latent", np.int64),
+    _Column("tau_R_before", "tau_r_before", np.float64),
+    _Column("tau_A_before", "tau_a_before", np.float64),
+    _Column("tau_R_after", "tau_r_after", np.float64),
+    _Column("tau_A_after", "tau_a_after", np.float64),
+    _Column("g_observed", "g_observed", np.int64, optional=True),
+)
+_KEYS = tuple(c.key for c in _COLUMNS)
+# Rows per chunk when records are made from the columns (written or
+# yielded) and when the columns are filled from decoded records. Filling
+# transposes the chunk's decoded dicts into columns, so its chunk is kept
+# small enough for them to stay in cache; each size measured fastest for
+# its direction on a 100k-round trace.
+_CHUNK_OUT = 1 << 11
+_CHUNK_IN = 1 << 9
 
 # Channel tags for per-repetition seed derivation. Stream seeds do not
 # depend on the policy settings, so runs at different targets (and the
@@ -147,69 +209,51 @@ class Trace:
 
     def iter_records(self) -> Iterator[dict]:
         """Rounds as plain dicts; g_observed appears only on queried rounds."""
-        for i in range(len(self)):
-            rec = {
-                "t": int(self.t[i]),
-                "w": float(self.w[i]),
-                "region": REGION_NAMES[int(self.region[i])],
-                "action": ACTION_NAMES[int(self.action[i])],
-                "q_t": float(self.q[i]),
-                "explored": bool(self.explored[i]),
-                "g_latent": int(self.g_latent[i]),
-                "tau_R_before": float(self.tau_r_before[i]),
-                "tau_A_before": float(self.tau_a_before[i]),
-                "tau_R_after": float(self.tau_r_after[i]),
-                "tau_A_after": float(self.tau_a_after[i]),
-            }
-            if int(self.g_observed[i]) >= 0:
-                rec["g_observed"] = int(self.g_observed[i])
-            yield rec
+        optional = [c.key for c in _COLUMNS if c.optional]
+        for lo in range(0, len(self), _CHUNK_OUT):
+            cols = [c.values(getattr(self, c.attr)[lo:lo + _CHUNK_OUT]) for c in _COLUMNS]
+            for row in zip(*cols):
+                rec = dict(zip(_KEYS, row))
+                for key in optional:
+                    if rec[key] < 0:
+                        del rec[key]
+                yield rec
+
+    def write_records(self, fh: TextIO) -> None:
+        """Write the rounds as JSON lines, a chunk of rows at a time.
+
+        Each line is `json.dumps(rec, sort_keys=True, separators=(",", ":"))`
+        of the matching `iter_records` record, byte for byte.
+        """
+        # "{" and "}" ride on the first and last keys, which are never optional
+        cols = sorted(_COLUMNS, key=lambda c: c.key)
+        heads = [("," if i else "{") + json.dumps(c.key) + ":" for i, c in enumerate(cols)]
+        tails = [""] * (len(cols) - 1) + ["}"]
+        for lo in range(0, len(self), _CHUNK_OUT):
+            cells = [
+                c.cells(getattr(self, c.attr)[lo:lo + _CHUNK_OUT], head, tail)
+                for c, head, tail in zip(cols, heads, tails)
+            ]
+            fh.write("\n".join(map("".join, zip(*cells))) + "\n")
 
     @staticmethod
-    def from_records(config: dict, records: list[dict]) -> "Trace":
-        """Rebuild a trace from serialized round records."""
-        n = len(records)
-        t = np.empty(n, np.int64)
-        w = np.empty(n, np.float64)
-        region = np.empty(n, np.int64)
-        action = np.empty(n, np.int64)
-        q = np.empty(n, np.float64)
-        explored = np.empty(n, np.bool_)
-        g_observed = np.full(n, -1, np.int64)
-        g_latent = np.empty(n, np.int64)
-        tau_r_before = np.empty(n, np.float64)
-        tau_a_before = np.empty(n, np.float64)
-        tau_r_after = np.empty(n, np.float64)
-        tau_a_after = np.empty(n, np.float64)
-        for i, rec in enumerate(records):
-            t[i] = rec["t"]
-            w[i] = rec["w"]
-            region[i] = REGION_NAMES.index(rec["region"])
-            action[i] = ACTION_NAMES.index(rec["action"])
-            q[i] = rec["q_t"]
-            explored[i] = rec["explored"]
-            g_latent[i] = rec["g_latent"]
-            if "g_observed" in rec:
-                g_observed[i] = rec["g_observed"]
-            tau_r_before[i] = rec["tau_R_before"]
-            tau_a_before[i] = rec["tau_A_before"]
-            tau_r_after[i] = rec["tau_R_after"]
-            tau_a_after[i] = rec["tau_A_after"]
+    def from_records(config: dict, records: Iterable[dict]) -> "Trace":
+        """Rebuild a trace from round records, taken a chunk at a time."""
+        parts = {c.attr: [np.empty(0, c.dtype)] for c in _COLUMNS}
+        required = [c for c in _COLUMNS if not c.optional]
+        optional = [c for c in _COLUMNS if c.optional]
+        get = operator.itemgetter(*(c.key for c in required))
+        records = iter(records)
+        while chunk := list(itertools.islice(records, _CHUNK_IN)):
+            for c, vals in zip(required, zip(*map(get, chunk))):
+                parts[c.attr].append(c.parse(vals))
+            for c in optional:
+                vals = [rec[c.key] if c.key in rec else -1 for rec in chunk]
+                parts[c.attr].append(c.parse(vals))
         trace = Trace(
             config=config,
-            t=t,
-            w=w,
-            region=region,
-            action=action,
-            q=q,
-            explored=explored,
-            g_observed=g_observed,
-            g_latent=g_latent,
-            tau_r_before=tau_r_before,
-            tau_a_before=tau_a_before,
-            tau_r_after=tau_r_after,
-            tau_a_after=tau_a_after,
             ledger=ErrorLedger(),
+            **{attr: np.concatenate(p) for attr, p in parts.items()},
         )
         trace.ledger = recompute_ledger(trace)
         return trace
@@ -319,8 +363,8 @@ def _run_engine(config: PolicyConfig, stream, horizon: Optional[int], echo: dict
         if stream.reactive:
             stream.react(final)
         cols["w"].append(rec.w)
-        cols["region"].append(_REGION_CODE[rec.region])
-        cols["action"].append(_ACTION_CODE[rec.action])
+        cols["region"].append(REGION_NAMES.index(rec.region.value))
+        cols["action"].append(ACTION_NAMES.index(rec.action.value))
         cols["q"].append(rec.q)
         cols["explored"].append(rec.explored)
         cols["g_observed"].append(g_obs)

@@ -12,6 +12,7 @@ stream shifts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -56,7 +57,7 @@ class Thresholds:
     accept: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.reject) and np.isfinite(self.accept)):
+        if not (math.isfinite(self.reject) and math.isfinite(self.accept)):
             raise ValueError("thresholds must be finite")
         if self.reject > self.accept:
             raise ValueError(
@@ -216,7 +217,7 @@ class VerificationPolicy:
         if self._pending is not None:
             raise ProtocolError("previous round not finalized; call feedback or advance")
         w = float(w)
-        if not (np.isfinite(w) and 0.0 <= w <= 1.0):
+        if not (math.isfinite(w) and 0.0 <= w <= 1.0):
             raise ValueError(f"weak score must be in [0, 1], got {w}")
         cfg = self._config
         th = self._thresholds

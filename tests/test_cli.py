@@ -1,5 +1,7 @@
 """Command-line surface: file formats, override handling, exit codes."""
 
+import hashlib
+import importlib.util
 import json
 
 import pytest
@@ -10,6 +12,8 @@ from selverify import (
     PolicyConfig,
     Trace,
     UniformDist,
+    kernel_backend,
+    preset_drift,
     preset_math_like,
     sweep,
 )
@@ -143,6 +147,49 @@ class TestSimulate:
         assert main(["simulate", "-c", cfg, "-o", str(target)]) == EXIT_OK
         assert target.exists()
         assert not (tmp_path / "outbox").exists()
+
+    def test_kernel_backend_goes_to_stderr_only(self, tmp_path, capsys):
+        out = tmp_path / "t.jsonl"
+        assert main(["simulate", "-c", simulate_config(tmp_path, horizon=20), "-o", str(out)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == f"kernel backend: {kernel_backend()}\n"
+        assert "kernel backend" not in captured.out
+        assert b"kernel" not in out.read_bytes()
+
+    def test_kernel_backend_names_the_path_that_runs(self):
+        expected = "numba" if importlib.util.find_spec("numba") else "python"
+        assert kernel_backend() == expected
+
+
+# SHA-256 of `simulate` output, pinned from the dict-per-record writer
+# (json.dumps with sorted keys) that the column writer replaced.
+GOLDEN_TRACES = {
+    "drift_kernel": (
+        {"policy": POLICY, "stream": preset_drift(2000, seed=0), "horizon": None,
+         "seed_base": 3},
+        "a9cf3615a9aa33db9fad6f335e3b452442f164f7600319068a17d817a886c1db",
+    ),
+    "math_like_engine": (
+        {"policy": {**POLICY, "q_accept": 0.3, "q_reject": 0.3},
+         "stream": preset_math_like("easy", problems=200, seed=0), "horizon": None,
+         "seed_base": 5},
+        "ca265a20e75faa5bc4b259f3e313e3a9af291b1b789a1aab4370a0a49df90bef",
+    ),
+    "negative_zero_threshold": (
+        {"policy": {**POLICY, "tau_reject_init": -0.0},
+         "stream": {"kind": "calibrated", "score_dist": UniformDist().to_dict(), "seed": 0},
+         "horizon": 1000, "seed_base": 0},
+        "e5ed6a0e34380cf94275e3aa7dcf196b6e75c2cd0fdb0195c684e2bfd9ed94b6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRACES))
+def test_simulate_output_bytes_are_pinned(tmp_path, name):
+    cfg, digest = GOLDEN_TRACES[name]
+    out = tmp_path / "trace.jsonl"
+    assert main(["simulate", "-c", write_config(tmp_path, "sim.json", cfg), "-o", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def sweep_cfg_dict():
@@ -342,6 +389,60 @@ class TestCheck:
 
     def test_missing_trace_is_an_io_error(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.jsonl")]) == EXIT_IO
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        trace = self.make_trace(tmp_path)
+        lines = trace.read_text().splitlines()
+        lines[1:1] = ["", "  "]
+        trace.write_text("\n".join(lines) + "\n\n")
+        assert main(["check", str(trace)]) == EXIT_OK
+
+    @staticmethod
+    def _record_as_list(lines):
+        lines[5] = json.dumps(list(json.loads(lines[5]).values()))
+
+    @staticmethod
+    def _record_without_w(lines):
+        rec = json.loads(lines[5])
+        del rec["w"]
+        lines[5] = json.dumps(rec)
+
+    @staticmethod
+    def _summary_in_the_middle(lines):
+        lines.insert(5, lines.pop())
+
+    @staticmethod
+    def _two_records_on_one_line(lines):
+        lines[5:7] = [lines[5] + "," + lines[6]]
+
+    @staticmethod
+    def _final_line_cut_short(lines):
+        lines[-1] = lines[-1][: len(lines[-1]) // 2]
+
+    @staticmethod
+    def _null_record(lines):
+        lines.insert(5, "null")
+
+    @staticmethod
+    def _round_index_out_of_range(lines):
+        rec = json.loads(lines[5])
+        rec["t"] = 10**30
+        lines[5] = json.dumps(rec)
+
+    @pytest.mark.parametrize("forge", [
+        _record_as_list, _record_without_w, _summary_in_the_middle,
+        _two_records_on_one_line, _final_line_cut_short, _null_record,
+        _round_index_out_of_range,
+    ])
+    def test_malformed_lines_are_io_errors(self, tmp_path, capsys, forge):
+        trace = self.make_trace(tmp_path)
+        lines = trace.read_text().splitlines()
+        forge.__func__(lines)
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["check", str(trace)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestDiagnose:

@@ -2,6 +2,8 @@
 serialization, bound and claim checks, sweep determinism."""
 
 import dataclasses
+import io
+import json
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from selverify import (
     sweep_point,
     verify_bound,
 )
+from selverify import experiments
 
 SV = 2  # action code for strong_verify in trace columns
 
@@ -193,6 +196,30 @@ class TestTraceSerialization:
         )
         rebuilt = Trace.from_records(trace.config, list(trace.iter_records()))
         assert_traces_equal(trace, rebuilt)
+
+    def test_written_lines_are_sorted_json_dumps_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_CHUNK_OUT", 7)
+        monkeypatch.setattr(experiments, "_CHUNK_IN", 5)
+        trace = uniform_run(horizon=50, tau_reject_init=-0.0)
+        trace.w[[3, 4, 5, 6, 7]] = [np.nan, np.inf, -np.inf, -0.0, 0.0]
+        trace.tau_a_after[10] = 1e-300
+        expected = "".join(
+            json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+            for rec in trace.iter_records()
+        )
+        buf = io.StringIO()
+        trace.write_records(buf)
+        assert buf.getvalue() == expected
+        assert all(f'"w":{s}}}' in expected for s in ("-0.0", "0.0", "NaN", "-Infinity"))
+
+    def test_round_trip_from_a_generator_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_CHUNK_OUT", 7)
+        monkeypatch.setattr(experiments, "_CHUNK_IN", 5)
+        trace = uniform_run(horizon=50)
+        rebuilt = Trace.from_records(trace.config, (rec for rec in trace.iter_records()))
+        assert_traces_equal(trace, rebuilt)
+        empty = Trace.from_records(trace.config, iter(()))
+        assert len(empty) == 0 and empty.w.dtype == np.float64
 
     def test_g_observed_serialized_only_when_queried(self):
         trace = uniform_run(horizon=300)
