@@ -1,11 +1,13 @@
 """Array fast path for non-reactive runs.
 
-`run_rounds` replays the exact decide/feedback/advance arithmetic of
+`run_rounds` replays the decide/feedback/advance protocol of
 `VerificationPolicy` over pre-drawn score, label, and exploration-uniform
-arrays. The float expressions are written in the same shapes as the engine
-so results agree bitwise; the uniform pool is consumed cursor-wise and only
-on decisive rounds, matching the engine's one-draw-per-decisive-round
-usage. Integer codes: region/action 0=accept, 1=reject, 2=uncertain or
+arrays. Its sequential loop carries only what is sequential: the threshold
+pair after each round and the exploration flag, which consumes the uniform
+pool cursor-wise, one draw per decisive round as the engine does. The
+threshold update is `step`, the one the engine calls, so results agree
+bitwise. Every other column follows from those with numpy after the loop.
+Integer codes: region/action 0=accept, 1=reject, 2=uncertain or
 strong-verify; g_observed is -1 on rounds without a strong query.
 """
 
@@ -37,6 +39,11 @@ ACTION_ACCEPT = 0
 ACTION_REJECT = 1
 ACTION_STRONG_VERIFY = 2
 
+# Rounds per call of the loop. Without numba the loop runs over Python
+# lists of one chunk, small enough to stay in cache and to keep the lists'
+# memory O(chunk).
+_CHUNK = 1 << 12
+
 
 def kernel_backend() -> str:
     """Which path `run_rounds` takes: "numba" (compiled) or "python"."""
@@ -44,6 +51,51 @@ def kernel_backend() -> str:
 
 
 @njit(cache=True)
+def step(tr, ta, w, g, q, alpha, beta, eta):
+    """Thresholds after an escalated round with score w, strong label g and
+    escalation probability q. The accept threshold moves first; the reject
+    update then projects against the new accept value, preserving
+    reject <= accept."""
+    ind_a = 1.0 if w > ta else 0.0
+    gate0 = 1.0 if g == 0 else 0.0
+    new_a = ta + eta * (gate0 * (ind_a - alpha)) / q
+    if new_a < tr:
+        new_a = tr
+    ind_r = 1.0 if w < tr else 0.0
+    gate1 = 1.0 if g == 1 else 0.0
+    new_r = tr + eta * (gate1 * (beta - ind_r)) / q
+    if new_r > new_a:
+        new_r = new_a
+    return new_r, new_a
+
+
+@njit(cache=True)
+def _loop(w, g, u, tr, ta, alpha, beta, eta, q_accept, q_reject, tau_r, tau_a, explored):
+    """One chunk of rounds from thresholds (tr, ta), reading uniforms from
+    u[0]. Fills tau_r/tau_a with the thresholds after each round and sets
+    explored where a decisive round escalated; returns the final
+    thresholds and the number of uniforms used."""
+    cursor = 0
+    for t in range(len(w)):
+        wt = w[t]
+        if wt > ta:
+            q = q_accept
+        elif wt < tr:
+            q = q_reject
+        else:
+            tr, ta = step(tr, ta, wt, g[t], 1.0, alpha, beta, eta)
+            tau_r[t] = tr
+            tau_a[t] = ta
+            continue
+        cursor += 1
+        if u[cursor - 1] < q:
+            explored[t] = True
+            tr, ta = step(tr, ta, wt, g[t], q, alpha, beta, eta)
+        tau_r[t] = tr
+        tau_a[t] = ta
+    return tr, ta, cursor
+
+
 def run_rounds(
     w,
     g,
@@ -56,61 +108,42 @@ def run_rounds(
     tau_reject_init,
     tau_accept_init,
 ):
+    """Replay len(w) rounds. Returns the region, action, q, explored,
+    g_observed and four threshold columns, and the number of uniforms
+    used."""
     T = w.shape[0]
-    region = np.empty(T, np.int64)
-    action = np.empty(T, np.int64)
-    q_arr = np.empty(T, np.float64)
-    explored = np.zeros(T, np.bool_)
-    g_observed = np.full(T, -1, np.int64)
-    tau_r_before = np.empty(T, np.float64)
-    tau_a_before = np.empty(T, np.float64)
     tau_r_after = np.empty(T, np.float64)
     tau_a_after = np.empty(T, np.float64)
+    explored = np.zeros(T, np.bool_)
     tr = tau_reject_init
     ta = tau_accept_init
     cursor = 0
-    for t in range(T):
-        tau_r_before[t] = tr
-        tau_a_before[t] = ta
-        wt = w[t]
-        if wt > ta:
-            reg = REGION_ACCEPT
-        elif wt < tr:
-            reg = REGION_REJECT
+    for lo in range(0, T, _CHUNK):
+        chunk = slice(lo, lo + _CHUNK)
+        n = min(_CHUNK, T - lo)
+        ins = (w[chunk], g[chunk], u[cursor:cursor + n])
+        if _HAVE_NUMBA:
+            outs = (tau_r_after[chunk], tau_a_after[chunk], explored[chunk])
         else:
-            reg = REGION_UNCERTAIN
-        region[t] = reg
-        if reg == REGION_UNCERTAIN:
-            q = 1.0
-            expl = False
-            sv = True
-        else:
-            q = q_accept if reg == REGION_ACCEPT else q_reject
-            expl = u[cursor] < q
-            cursor += 1
-            sv = expl
-        q_arr[t] = q
-        explored[t] = expl
-        if sv:
-            action[t] = ACTION_STRONG_VERIFY
-            gt = g[t]
-            g_observed[t] = gt
-            ind_a = 1.0 if wt > ta else 0.0
-            gate0 = 1.0 if gt == 0 else 0.0
-            new_a = ta + eta * (gate0 * (ind_a - alpha)) / q
-            if new_a < tr:
-                new_a = tr
-            ind_r = 1.0 if wt < tr else 0.0
-            gate1 = 1.0 if gt == 1 else 0.0
-            new_r = tr + eta * (gate1 * (beta - ind_r)) / q
-            if new_r > new_a:
-                new_r = new_a
-            ta = new_a
-            tr = new_r
-        else:
-            action[t] = reg
-        tau_r_after[t] = tr
-        tau_a_after[t] = ta
+            ins = tuple(a.tolist() for a in ins)
+            outs = ([0.0] * n, [0.0] * n, bytearray(n))
+        tr, ta, used = _loop(*ins, tr, ta, alpha, beta, eta, q_accept, q_reject, *outs)
+        cursor += used
+        if not _HAVE_NUMBA:
+            tau_r_after[chunk], tau_a_after[chunk] = outs[:2]
+            explored[chunk] = np.frombuffer(outs[2], np.bool_)
+    tau_r_before = np.empty(T, np.float64)
+    tau_a_before = np.empty(T, np.float64)
+    tau_r_before[:1] = tau_reject_init
+    tau_a_before[:1] = tau_accept_init
+    tau_r_before[1:] = tau_r_after[:-1]
+    tau_a_before[1:] = tau_a_after[:-1]
+    region = np.full(T, REGION_UNCERTAIN, np.int64)
+    region[w < tau_r_before] = REGION_REJECT
+    region[w > tau_a_before] = REGION_ACCEPT
+    q_arr = np.array([q_accept, q_reject, 1.0], np.float64)[region]
+    action = np.where(explored, ACTION_STRONG_VERIFY, region)
+    g_observed = np.where(action == ACTION_STRONG_VERIFY, g, -1).astype(np.int64, copy=False)
     return (
         region,
         action,

@@ -64,6 +64,14 @@ def _json_values(vals: list) -> list[str]:
     return [json.dumps(v) for v in vals]
 
 
+# The Python types of the JSON values a column of each dtype accepts.
+_JSON_TYPES = {
+    np.float64: ((int, float), "a number"),
+    np.int64: ((int,), "an integer"),
+    np.bool_: ((bool,), "true or false"),
+}
+
+
 @dataclass(frozen=True)
 class _Column:
     """One trace column: its JSON key, its `Trace` attribute, its dtype and
@@ -97,11 +105,16 @@ class _Column:
         return np.array(text, dtype=object)[inv].tolist()
 
     def parse(self, vals: Sequence) -> np.ndarray:
-        """The column of a sequence of record values, each converted as
-        array item assignment converts it."""
+        """The column of a sequence of record values. Raises TypeError on a
+        value whose JSON type is not the column's."""
         if self.names:
             codes = {n: i for i, n in enumerate(self.names)}
             vals = [codes[v] for v in vals]
+        else:
+            allowed, kind = _JSON_TYPES[self.dtype]
+            if not set(map(type, vals)).issubset(allowed):
+                bad = next(v for v in vals if type(v) not in allowed)
+                raise TypeError(f"{self.key} must be {kind}, got {bad!r}")
         return np.fromiter(vals, self.dtype, count=len(vals))
 
 
@@ -297,6 +310,8 @@ def _run_kernel(config: PolicyConfig, stream, horizon: Optional[int], echo: dict
             g = np.empty(0, dtype=np.int64)
     else:
         w, g = stream.take(horizon)
+    w = np.asarray(w, np.float64)
+    g = np.asarray(g, np.int64)
     u = np.random.default_rng(config.seed).random(w.size)
     (
         region,
@@ -310,8 +325,8 @@ def _run_kernel(config: PolicyConfig, stream, horizon: Optional[int], echo: dict
         tau_a_after,
         _,
     ) = _kernel.run_rounds(
-        w.astype(np.float64),
-        g.astype(np.int64),
+        w,
+        g,
         u,
         config.alpha,
         config.beta,
@@ -330,7 +345,7 @@ def _run_kernel(config: PolicyConfig, stream, horizon: Optional[int], echo: dict
         q=q,
         explored=explored,
         g_observed=g_observed,
-        g_latent=g.astype(np.int64),
+        g_latent=g,
         tau_r_before=tau_r_before,
         tau_a_before=tau_a_before,
         tau_r_after=tau_r_after,

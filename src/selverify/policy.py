@@ -19,6 +19,8 @@ from typing import Optional
 
 import numpy as np
 
+from ._kernel import step
+
 __all__ = [
     "Action",
     "Region",
@@ -258,19 +260,9 @@ class VerificationPolicy:
         g = int(g)
         cfg = self._config
         th = self._thresholds
-        w, q = rec.w, rec.q
-        # Accept threshold moves first; the reject update then projects
-        # against the new accept value, preserving reject <= accept.
-        ind_a = 1.0 if w > th.accept else 0.0
-        gate0 = 1.0 if g == 0 else 0.0
-        new_a = th.accept + cfg.eta * (gate0 * (ind_a - cfg.alpha)) / q
-        if new_a < th.reject:
-            new_a = th.reject
-        ind_r = 1.0 if w < th.reject else 0.0
-        gate1 = 1.0 if g == 1 else 0.0
-        new_r = th.reject + cfg.eta * (gate1 * (cfg.beta - ind_r)) / q
-        if new_r > new_a:
-            new_r = new_a
+        new_r, new_a = step(
+            th.reject, th.accept, rec.w, g, rec.q, cfg.alpha, cfg.beta, cfg.eta
+        )
         new = Thresholds(new_r, new_a)
         rec.g_observed = g
         rec.thresholds_after = new

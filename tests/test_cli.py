@@ -445,6 +445,24 @@ class TestCheck:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("key, value", [
+        ("w", None), ("w", "0.5"), ("tau_A_after", True), ("t", "3"), ("t", 3.0),
+        ("g_latent", None), ("explored", "x"), ("explored", 1),
+    ])
+    def test_mistyped_values_are_io_errors(self, tmp_path, capsys, key, value):
+        trace = self.make_trace(tmp_path)
+        lines = trace.read_text().splitlines()
+        rec = json.loads(lines[5])
+        rec[key] = value
+        lines[5] = json.dumps(rec)
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["check", str(trace)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed trace: ") and key in err
+        assert "Traceback" not in err
+
+
 class TestDiagnose:
     def test_point_mass_has_zero_sharpness(self, tmp_path):
         cfg = write_config(

@@ -32,7 +32,7 @@ from selverify import (
     sweep_point,
     verify_bound,
 )
-from selverify import experiments
+from selverify import _kernel, experiments
 
 SV = 2  # action code for strong_verify in trace columns
 
@@ -64,9 +64,14 @@ TRACE_COLUMNS = (
 )
 
 
+def assert_bitwise_equal(a: np.ndarray, b: np.ndarray, what=""):
+    assert a.dtype == b.dtype and a.shape == b.shape, what
+    assert a.tobytes() == b.tobytes(), what
+
+
 def assert_traces_equal(a: Trace, b: Trace):
     for col in TRACE_COLUMNS:
-        assert np.array_equal(getattr(a, col), getattr(b, col)), col
+        assert_bitwise_equal(getattr(a, col), getattr(b, col), col)
     assert a.ledger == b.ledger
 
 
@@ -119,6 +124,9 @@ class TestEngineKernelAgreement:
                 "seed": 8,
             },
             preset_drift(total_length=2_000, seed=8),
+            # scores on the initial thresholds, which are uncertain
+            {"kind": "calibrated", "score_dist": PointMass(0.1).to_dict(), "seed": 3},
+            {"kind": "calibrated", "score_dist": PointMass(0.9).to_dict(), "seed": 3},
         ],
     )
     def test_paths_produce_identical_traces(self, spec):
@@ -126,6 +134,49 @@ class TestEngineKernelAgreement:
         fast = run_one(cfg, make_stream(spec), horizon=2_000)
         slow = run_one(cfg, make_stream(spec), horizon=2_000, force_engine=True)
         assert_traces_equal(fast, slow)
+
+    @pytest.mark.parametrize("kw, horizon", [
+        ({"tau_reject_init": -0.0}, 2_000),
+        ({"q_accept": 1.0, "q_reject": 1.0}, 2_000),
+        # around and across the kernel's chunk of 4,096 rounds
+        ({}, 0), ({}, 1), ({}, 4_095), ({}, 4_096), ({}, 4_097), ({}, 10_000),
+    ])
+    def test_paths_agree_on_edge_cases(self, kw, horizon):
+        spec = {"kind": "calibrated", "score_dist": UniformDist().to_dict(), "seed": 3}
+        cfg = config(seed=5, **kw)
+        fast = run_one(cfg, make_stream(spec), horizon=horizon)
+        slow = run_one(cfg, make_stream(spec), horizon=horizon, force_engine=True)
+        assert len(fast) == horizon
+        assert_traces_equal(fast, slow)
+
+    def test_array_containers_equal_list_containers(self, monkeypatch):
+        # without numba, njit is the identity, so this runs the array branch
+        # in plain Python
+        spec = preset_drift(total_length=9_000, seed=8)
+        lists = run_one(config(seed=17), make_stream(spec), horizon=9_000)
+        monkeypatch.setattr(_kernel, "_HAVE_NUMBA", True)
+        arrays = run_one(config(seed=17), make_stream(spec), horizon=9_000)
+        assert_traces_equal(lists, arrays)
+
+    def test_compiled_kernel_equals_its_python_source(self):
+        pytest.importorskip("numba")
+        rng = np.random.default_rng(0)
+        for _ in range(2_000):
+            tr, ta = sorted(rng.choice([0.0, -0.0, 0.1, 0.9, 1.0, rng.random()], 2))
+            args = (tr, ta, rng.choice([tr, ta, rng.random()]), int(rng.integers(2)),
+                    rng.choice([0.1, 0.3, 1.0]), 0.15, 0.05, 0.05)
+            got = np.array(_kernel.step(*args))
+            assert_bitwise_equal(got, np.array(_kernel.step.py_func(*args)), args)
+        stream = make_stream(preset_drift(total_length=20_000, seed=8))
+        w, g = stream.take(20_000)
+        u = rng.random(w.size)
+        runs = []
+        for loop in (_kernel._loop, _kernel._loop.py_func):
+            outs = (np.empty(w.size), np.empty(w.size), np.zeros(w.size, np.bool_))
+            end = loop(w, g.astype(np.int64), u, 0.1, 0.9, 0.1, 0.1, 0.05, 0.1, 0.3, *outs)
+            runs.append((np.array(end[:2]), np.array(end[2]), *outs))
+        for compiled, python in zip(*runs):
+            assert_bitwise_equal(compiled, python)
 
 
 class TestSeeds:
