@@ -335,6 +335,8 @@ def _parse_trace_file(path: str) -> tuple[dict, Trace, Optional[dict]]:
                 yield prev
             prev = obj
         if isinstance(prev, dict) and "metrics" in prev:
+            if not isinstance(prev["metrics"], dict):
+                raise ValueError("summary metrics must be an object")
             summary = prev
         elif prev is not none:
             yield prev
@@ -344,7 +346,11 @@ def _parse_trace_file(path: str) -> tuple[dict, Trace, Optional[dict]]:
         header = next(objs, None)
         if header is None:
             raise ValueError("trace file is empty")
-        if not isinstance(header, dict) or "config" not in header or "version" not in header:
+        if (
+            not isinstance(header, dict)
+            or not isinstance(header.get("config"), dict)
+            or "version" not in header
+        ):
             raise ValueError("first line must be a header object with config and version")
         trace = Trace.from_records(header["config"], records(objs))
     return header, trace, summary

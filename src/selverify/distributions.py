@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "ScoreDist",
@@ -25,6 +24,17 @@ __all__ = [
 
 # Absolute tolerance for adaptive quadrature on continuous distributions.
 QUAD_ABS_TOL = 1e-12
+
+
+def _quad(integrand, lo: float, hi: float, **kw) -> float:
+    """Adaptive quadrature of `integrand` over [lo, hi].
+
+    scipy is imported here, on first use, so that importing the package (and
+    every command that never integrates) does not pay for loading it.
+    """
+    from scipy import integrate
+
+    return integrate.quad(integrand, lo, hi, limit=200, epsabs=QUAD_ABS_TOL, **kw)[0]
 
 
 class ScoreDist:
@@ -67,25 +77,15 @@ class _ContinuousDist(ScoreDist):
 
     def expect(self, fn, breakpoints=()) -> float:
         pts = [p for p in breakpoints if 0.0 < p < 1.0] or None
-        val, _ = integrate.quad(
-            lambda x: fn(x) * self.pdf(x),
-            0.0,
-            1.0,
-            points=pts,
-            limit=200,
-            epsabs=QUAD_ABS_TOL,
-            epsrel=QUAD_ABS_TOL,
+        return _quad(
+            lambda x: fn(x) * self.pdf(x), 0.0, 1.0, points=pts, epsrel=QUAD_ABS_TOL
         )
-        return val
 
     def mean_below(self, x: float) -> float:
         if x <= 0.0:
             return 0.0
         hi = min(x, 1.0)
-        val, _ = integrate.quad(
-            lambda t: t * self.pdf(t), 0.0, hi, limit=200, epsabs=QUAD_ABS_TOL
-        )
-        return val
+        return _quad(lambda t: t * self.pdf(t), 0.0, hi)
 
     def prob_between(self, lo: float, hi: float) -> float:
         if hi < lo:
@@ -96,10 +96,7 @@ class _ContinuousDist(ScoreDist):
         if x >= 1.0:
             return 0.0
         lo = max(x, 0.0)
-        val, _ = integrate.quad(
-            lambda t: (1.0 - t) * self.pdf(t), lo, 1.0, limit=200, epsabs=QUAD_ABS_TOL
-        )
-        return val
+        return _quad(lambda t: (1.0 - t) * self.pdf(t), lo, 1.0)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,14 @@
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import selverify
 from selverify import (
     ParetoPoint,
     PointMass,
@@ -190,6 +195,29 @@ def test_simulate_output_bytes_are_pinned(tmp_path, name):
     out = tmp_path / "trace.jsonl"
     assert main(["simulate", "-c", write_config(tmp_path, "sim.json", cfg), "-o", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_simulate_and_check_never_import_scipy(tmp_path):
+    # scipy serves only the population quadrature; loading it costs a
+    # one-shot command most of its start-up time
+    cfg = write_config(tmp_path, "sim.json", {
+        "policy": POLICY, "stream": preset_drift(2000, seed=0), "horizon": None,
+        "seed_base": 3,
+    })
+    out = str(tmp_path / "trace.jsonl")
+    script = (
+        "import json, sys\n"
+        "import selverify, selverify.cli\n"
+        f"codes = [selverify.cli.main(['simulate', '-c', {cfg!r}, '-o', {out!r}]),\n"
+        f"         selverify.cli.main(['check', {out!r}])]\n"
+        "scipy = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(json.dumps({'codes': codes, 'scipy': scipy}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(selverify.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [EXIT_OK, EXIT_OK], "scipy": []}
 
 
 def sweep_cfg_dict():
@@ -429,10 +457,25 @@ class TestCheck:
         rec["t"] = 10**30
         lines[5] = json.dumps(rec)
 
+    @staticmethod
+    def _summary_metrics_as_number(lines):
+        lines[-1] = json.dumps({"metrics": 5})
+
+    @staticmethod
+    def _summary_metrics_as_list(lines):
+        lines[-1] = json.dumps({"metrics": [1]})
+
+    @staticmethod
+    def _header_config_as_number(lines):
+        header = json.loads(lines[0])
+        header["config"] = 5
+        lines[0] = json.dumps(header)
+
     @pytest.mark.parametrize("forge", [
         _record_as_list, _record_without_w, _summary_in_the_middle,
         _two_records_on_one_line, _final_line_cut_short, _null_record,
-        _round_index_out_of_range,
+        _round_index_out_of_range, _summary_metrics_as_number,
+        _summary_metrics_as_list, _header_config_as_number,
     ])
     def test_malformed_lines_are_io_errors(self, tmp_path, capsys, forge):
         trace = self.make_trace(tmp_path)
