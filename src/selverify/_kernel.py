@@ -1,4 +1,5 @@
-"""Array fast path for non-reactive runs.
+"""Array fast path for non-reactive runs, and the column derivation both
+paths share.
 
 `run_rounds` replays the decide/feedback/advance protocol of
 `VerificationPolicy` over pre-drawn score, label, and exploration-uniform
@@ -6,9 +7,11 @@ arrays. Its sequential loop carries only what is sequential: the threshold
 pair after each round and the exploration flag, which consumes the uniform
 pool cursor-wise, one draw per decisive round as the engine does. The
 threshold update is `step`, the one the engine calls, so results agree
-bitwise. Every other column follows from those with numpy after the loop.
-Integer codes: region/action 0=accept, 1=reject, 2=uncertain or
-strong-verify; g_observed is -1 on rounds without a strong query.
+bitwise. The per-item engine records the same sequential state round by
+round, and `derive_columns` turns it into every other trace column with
+numpy for both. Integer codes: region/action 0=accept, 1=reject,
+2=uncertain or strong-verify; g_observed is -1 on rounds without a strong
+query.
 """
 
 from __future__ import annotations
@@ -132,6 +135,22 @@ def run_rounds(
         if not _HAVE_NUMBA:
             tau_r_after[chunk], tau_a_after[chunk] = outs[:2]
             explored[chunk] = np.frombuffer(outs[2], np.bool_)
+    cols = derive_columns(
+        w, g, explored, tau_r_after, tau_a_after, q_accept, q_reject, tau_reject_init, tau_accept_init
+    )
+    return (*cols, cursor)
+
+
+def derive_columns(
+    w, g, explored, tau_r_after, tau_a_after, q_accept, q_reject, tau_reject_init, tau_accept_init
+):
+    """Every column of a run from its sequential state: the scores, the
+    latent labels, the exploration flags and the threshold path after each
+    round. The thresholds before a round are the path shifted one round
+    behind the initial pair; the region compares the score strictly with
+    them; escalated rounds observe the latent label. Returns the region,
+    action, q, explored, g_observed and the four threshold columns."""
+    T = w.shape[0]
     tau_r_before = np.empty(T, np.float64)
     tau_a_before = np.empty(T, np.float64)
     tau_r_before[:1] = tau_reject_init
@@ -145,14 +164,6 @@ def run_rounds(
     action = np.where(explored, ACTION_STRONG_VERIFY, region)
     g_observed = np.where(action == ACTION_STRONG_VERIFY, g, -1).astype(np.int64, copy=False)
     return (
-        region,
-        action,
-        q_arr,
-        explored,
-        g_observed,
-        tau_r_before,
-        tau_a_before,
-        tau_r_after,
-        tau_a_after,
-        cursor,
+        region, action, q_arr, explored, g_observed,
+        tau_r_before, tau_a_before, tau_r_after, tau_a_after,
     )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -43,7 +44,10 @@ class ScoreDist:
     def mean(self) -> float:
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
+        """Draw `size` scores as an array, or, with size None (numpy's
+        convention), one score as a Python float. One draw takes the same
+        value and leaves the generator in the same state as `size=1` does."""
         raise NotImplementedError
 
     def expect(self, fn, breakpoints=()) -> float:
@@ -112,7 +116,7 @@ class UniformDist(_ContinuousDist):
     def cdf(self, x: float) -> float:
         return min(max(x, 0.0), 1.0)
 
-    def sample(self, rng, size):
+    def sample(self, rng, size=None):
         return rng.random(size)
 
     def to_dict(self):
@@ -132,8 +136,8 @@ class PointMass(ScoreDist):
     def mean(self) -> float:
         return self.value
 
-    def sample(self, rng, size):
-        return np.full(size, self.value)
+    def sample(self, rng, size=None):
+        return float(self.value) if size is None else np.full(size, self.value)
 
     def expect(self, fn, breakpoints=()):
         return float(fn(self.value))
@@ -193,7 +197,7 @@ class BetaDist(_ContinuousDist):
             return 1.0
         return float(betainc(self.a, self.b, x))
 
-    def sample(self, rng, size):
+    def sample(self, rng, size=None):
         return rng.beta(self.a, self.b, size)
 
     def to_dict(self):
@@ -220,7 +224,11 @@ class MixtureDist(ScoreDist):
     def mean(self) -> float:
         return self.weight * self.first.mean() + (1.0 - self.weight) * self.second.mean()
 
-    def sample(self, rng, size):
+    def sample(self, rng, size=None):
+        if size is None:
+            # the array path draws the other component with size 0, which
+            # consumes nothing
+            return (self.first if rng.random() < self.weight else self.second).sample(rng)
         mask = rng.random(size) < self.weight
         out = np.empty(size)
         n_first = int(mask.sum())
@@ -297,9 +305,9 @@ class GridDist(ScoreDist):
     def mean(self) -> float:
         return float(np.dot(self.weights, self.points))
 
-    def sample(self, rng, size):
+    def sample(self, rng, size=None):
         idx = rng.choice(self.points.size, size=size, p=self.weights)
-        return self.points[idx]
+        return float(self.points[idx]) if size is None else self.points[idx]
 
     def expect(self, fn, breakpoints=()):
         vals = np.array([fn(p) for p in self.points])

@@ -3,7 +3,10 @@
 A run drives one policy against one stream and records every round. For
 non-reactive streams the loop runs on pre-drawn arrays through the compiled
 kernel, which reproduces the engine bit for bit; reactive streams go
-through the engine so final decisions can feed back. Sweeps evaluate a
+through the engine so final decisions can feed back. Either path records
+only the sequential state of each round (score, latent label, exploration
+flag, thresholds after the round), and `_kernel.derive_columns` derives
+the other trace columns from it for both. Sweeps evaluate a
 grid of error targets plus the two baseline anchors, with stream seeds
 shared across targets and anchors so comparisons are paired.
 """
@@ -23,7 +26,7 @@ import numpy as np
 from . import _kernel
 from ._kernel import ACTION_ACCEPT, ACTION_REJECT, ACTION_STRONG_VERIFY
 from .metrics import ErrorLedger, delta_bound
-from .policy import Action, PolicyConfig, VerificationPolicy
+from .policy import Action, PolicyConfig, ProtocolError, VerificationPolicy
 from .streams import (
     CalibratedStream,
     MiscalibratedStream,
@@ -294,6 +297,29 @@ def recompute_ledger(trace: Trace) -> ErrorLedger:
     )
 
 
+def _trace(echo: dict, w, g_latent, cols, outcome=None) -> Trace:
+    """The trace of a run from its scores, its latent labels and the
+    columns `_kernel.derive_columns` returns."""
+    region, action, q, explored, g_observed, tr_before, ta_before, tr_after, ta_after = cols
+    return Trace(
+        config=echo,
+        t=np.arange(1, w.size + 1, dtype=np.int64),
+        w=w,
+        region=region,
+        action=action,
+        q=q,
+        explored=explored,
+        g_observed=g_observed,
+        g_latent=g_latent,
+        tau_r_before=tr_before,
+        tau_a_before=ta_before,
+        tau_r_after=tr_after,
+        tau_a_after=ta_after,
+        ledger=_ledger_from_arrays(w, action, g_latent, tr_before, ta_before),
+        outcome=outcome,
+    )
+
+
 def _run_kernel(config: PolicyConfig, stream, horizon: Optional[int], echo: dict) -> Trace:
     if horizon is None:
         blocks = []
@@ -313,18 +339,7 @@ def _run_kernel(config: PolicyConfig, stream, horizon: Optional[int], echo: dict
     w = np.asarray(w, np.float64)
     g = np.asarray(g, np.int64)
     u = np.random.default_rng(config.seed).random(w.size)
-    (
-        region,
-        action,
-        q,
-        explored,
-        g_observed,
-        tau_r_before,
-        tau_a_before,
-        tau_r_after,
-        tau_a_after,
-        _,
-    ) = _kernel.run_rounds(
+    *cols, _ = _kernel.run_rounds(
         w,
         g,
         u,
@@ -336,82 +351,59 @@ def _run_kernel(config: PolicyConfig, stream, horizon: Optional[int], echo: dict
         config.tau_reject_init,
         config.tau_accept_init,
     )
-    return Trace(
-        config=echo,
-        t=np.arange(1, w.size + 1, dtype=np.int64),
-        w=w,
-        region=region,
-        action=action,
-        q=q,
-        explored=explored,
-        g_observed=g_observed,
-        g_latent=g,
-        tau_r_before=tau_r_before,
-        tau_a_before=tau_a_before,
-        tau_r_after=tau_r_after,
-        tau_a_after=tau_a_after,
-        ledger=_ledger_from_arrays(w, action, g, tau_r_before, tau_a_before),
-    )
+    return _trace(echo, w, g, cols)
 
 
 def _run_engine(config: PolicyConfig, stream, horizon: Optional[int], echo: dict) -> Trace:
+    """Drive the policy round by round, so that final decisions can feed
+    back into the stream. Only the sequential state is recorded per round:
+    the score, the latent label, the exploration flag and the thresholds
+    after the round. A horizon takes a prefix of the run; the task outcome
+    is set only when the stream ran out first."""
     policy = VerificationPolicy(config)
-    cols = {name: [] for name in (
-        "w", "region", "action", "q", "explored", "g_observed", "g_latent",
-        "tau_r_before", "tau_a_before", "tau_r_after", "tau_a_after",
-    )}
-    rounds = 0
-    while horizon is None or rounds < horizon:
+    w, g_latent, explored, tau_r_after, tau_a_after = [], [], [], [], []
+    outcome = None
+    while horizon is None or len(w) < horizon:
         item = stream.next()
         if item is None:
+            outcome = stream.outcome() if stream.reactive else None
             break
         rec = policy.decide(item.w)
         if rec.action is Action.STRONG_VERIFY:
             g = stream.answer_strong_query()
+            if g != item.g_latent:
+                # derive_columns reads g_observed off the latent labels
+                raise ProtocolError(
+                    f"strong query answered {g!r} for an item whose latent label is "
+                    f"{item.g_latent!r}"
+                )
             policy.feedback(g)
             final = Action.ACCEPT if g == 1 else Action.REJECT
-            g_obs = g
         else:
             policy.advance()
             final = rec.action
-            g_obs = -1
         if stream.reactive:
             stream.react(final)
-        cols["w"].append(rec.w)
-        cols["region"].append(REGION_NAMES.index(rec.region.value))
-        cols["action"].append(ACTION_NAMES.index(rec.action.value))
-        cols["q"].append(rec.q)
-        cols["explored"].append(rec.explored)
-        cols["g_observed"].append(g_obs)
-        cols["g_latent"].append(item.g_latent)
-        cols["tau_r_before"].append(rec.thresholds_before.reject)
-        cols["tau_a_before"].append(rec.thresholds_before.accept)
-        cols["tau_r_after"].append(rec.thresholds_after.reject)
-        cols["tau_a_after"].append(rec.thresholds_after.accept)
-        rounds += 1
-    w = np.asarray(cols["w"], dtype=np.float64)
-    action = np.asarray(cols["action"], dtype=np.int64)
-    g_latent = np.asarray(cols["g_latent"], dtype=np.int64)
-    tau_r_before = np.asarray(cols["tau_r_before"], dtype=np.float64)
-    tau_a_before = np.asarray(cols["tau_a_before"], dtype=np.float64)
-    outcome = stream.outcome() if stream.reactive else None
-    return Trace(
-        config=echo,
-        t=np.arange(1, rounds + 1, dtype=np.int64),
-        w=w,
-        region=np.asarray(cols["region"], dtype=np.int64),
-        action=action,
-        q=np.asarray(cols["q"], dtype=np.float64),
-        explored=np.asarray(cols["explored"], dtype=np.bool_),
-        g_observed=np.asarray(cols["g_observed"], dtype=np.int64),
-        g_latent=g_latent,
-        tau_r_before=tau_r_before,
-        tau_a_before=tau_a_before,
-        tau_r_after=np.asarray(cols["tau_r_after"], dtype=np.float64),
-        tau_a_after=np.asarray(cols["tau_a_after"], dtype=np.float64),
-        ledger=_ledger_from_arrays(w, action, g_latent, tau_r_before, tau_a_before),
-        outcome=outcome,
+        after = rec.thresholds_after
+        w.append(rec.w)
+        g_latent.append(item.g_latent)
+        explored.append(rec.explored)
+        tau_r_after.append(after.reject)
+        tau_a_after.append(after.accept)
+    w = np.array(w, np.float64)
+    g_latent = np.array(g_latent, np.int64)
+    cols = _kernel.derive_columns(
+        w,
+        g_latent,
+        np.array(explored, np.bool_),
+        np.array(tau_r_after, np.float64),
+        np.array(tau_a_after, np.float64),
+        config.q_accept,
+        config.q_reject,
+        config.tau_reject_init,
+        config.tau_accept_init,
     )
+    return _trace(echo, w, g_latent, cols, outcome)
 
 
 def run_one(

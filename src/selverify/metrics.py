@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .policy import Action, DecisionRecord
-
 __all__ = ["ErrorLedger", "delta_bound"]
 
 
@@ -35,62 +33,6 @@ class ErrorLedger:
     type2_threshold: int = 0
     sv_count: int = 0
     total: int = 0
-
-    def record(self, rec: DecisionRecord, g_latent: int) -> None:
-        """Tally one finalized round against its latent label."""
-        if g_latent not in (0, 1):
-            raise ValueError(f"latent label must be 0 or 1, got {g_latent!r}")
-        if rec.g_observed is not None and rec.g_observed != g_latent:
-            raise RuntimeError(
-                f"observed label {rec.g_observed} disagrees with latent label "
-                f"{g_latent} at round {rec.t}; the harness is feeding the policy "
-                "a different stream than the ledger"
-            )
-        th = rec.thresholds_before
-        if g_latent == 0:
-            self.n0 += 1
-            if rec.action is Action.ACCEPT:
-                self.type1_policy += 1
-            if rec.w > th.accept:
-                self.type1_threshold += 1
-        else:
-            self.n1 += 1
-            if rec.action is Action.REJECT:
-                self.type2_policy += 1
-            if rec.w < th.reject:
-                self.type2_threshold += 1
-        if rec.action is Action.STRONG_VERIFY:
-            self.sv_count += 1
-        self.total += 1
-
-    def record_observed(self, rec: DecisionRecord) -> None:
-        """Tally using only the strong label observed on escalated rounds.
-
-        Deployment-side estimate for when latent labels are unavailable:
-        unilateral rounds contribute to `total` but to neither class count,
-        so the resulting rates are biased estimates of the latent-label
-        rates, not the same quantity `record` tracks.
-        """
-        if rec.g_observed is not None:
-            self.record(rec, rec.g_observed)
-            return
-        if rec.action is Action.STRONG_VERIFY:
-            raise ValueError("escalated round has no observed label; finalize it first")
-        self.total += 1
-
-    def merge(self, other: "ErrorLedger") -> "ErrorLedger":
-        return ErrorLedger(
-            n0=self.n0 + other.n0,
-            n1=self.n1 + other.n1,
-            type1_policy=self.type1_policy + other.type1_policy,
-            type2_policy=self.type2_policy + other.type2_policy,
-            type1_threshold=self.type1_threshold + other.type1_threshold,
-            type2_threshold=self.type2_threshold + other.type2_threshold,
-            sv_count=self.sv_count + other.sv_count,
-            total=self.total + other.total,
-        )
-
-    __add__ = merge
 
     def err_type1(self) -> float:
         return self.type1_policy / self.n0 if self.n0 else 0.0

@@ -355,7 +355,7 @@ class BestOfNStream(VerifierStream):
     def _draw_candidate(self) -> tuple[float, int]:
         g = 1 if self._rng.random() < self._base else 0
         dist = self.correct_scores if g == 1 else self.incorrect_scores
-        w = float(dist.sample(self._rng, 1)[0])
+        w = dist.sample(self._rng)
         self._weak_calls += 1
         return w, g
 
@@ -365,7 +365,7 @@ class BestOfNStream(VerifierStream):
         if self._problem_index >= self.problems:
             return None
         if self._candidates_used == 0:
-            self._base = float(self.difficulty.sample(self._rng, 1)[0])
+            self._base = self.difficulty.sample(self._rng)
         w, g = self._draw_candidate()
         self._candidates_used += 1
         self._pending = StreamItem(w=w, g_latent=g, problem_id=self._problem_index)
@@ -411,7 +411,7 @@ class BestOfNStream(VerifierStream):
         if self._weak_calls or self._problem_index:
             raise ProtocolError("baseline runs need a fresh stream")
         for _ in range(self.problems):
-            self._base = float(self.difficulty.sample(self._rng, 1)[0])
+            self._base = self.difficulty.sample(self._rng)
             best_w = -1.0
             best_g = 0
             for _ in range(self.budget):
@@ -490,7 +490,7 @@ class StepwiseStream(VerifierStream):
     def _draw_step(self) -> tuple[float, int]:
         g = 1 if self._rng.random() < self.step_correct_prob else 0
         dist = self.correct_scores if g == 1 else self.incorrect_scores
-        w = float(dist.sample(self._rng, 1)[0])
+        w = dist.sample(self._rng)
         self._weak_calls += 1
         return w, g
 

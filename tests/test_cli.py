@@ -161,6 +161,13 @@ class TestSimulate:
         assert "kernel backend" not in captured.out
         assert b"kernel" not in out.read_bytes()
 
+    def test_a_horizon_on_a_task_stream_writes_a_prefix(self, tmp_path):
+        cfg = simulate_config(tmp_path, stream=preset_math_like("easy", 200, 4), horizon=50)
+        out = tmp_path / "t.jsonl"
+        assert main(["simulate", "-c", cfg, "-o", str(out)]) == EXIT_OK
+        assert [rec["t"] for rec in read_lines(out)[1:-1]] == list(range(1, 51))
+        assert main(["check", str(out)]) == EXIT_OK
+
     def test_kernel_backend_names_the_path_that_runs(self):
         expected = "numba" if importlib.util.find_spec("numba") else "python"
         assert kernel_backend() == expected

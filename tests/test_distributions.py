@@ -198,3 +198,25 @@ def test_beta_partial_moments_consistent(a, b, x):
         (1.0 - d.cdf(x)) - (d.mean() - d.mean_below(x)), abs=1e-7
     )
     assert 0.0 <= d.cdf(x) <= 1.0
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        UniformDist(),
+        PointMass(1),
+        BetaDist(2.0, 5.0),
+        # shapes below 1 take numpy's other beta algorithm
+        BetaDist(0.5, 0.3),
+        MixtureDist(0.4, BetaDist(0.7, 2.0), MixtureDist(0.3, PointMass(0.2), UniformDist())),
+        GridDist([0.1, 0.2, 0.3, 0.4]),
+    ],
+)
+def test_scalar_draws_equal_one_element_draws(dist):
+    a = np.random.default_rng(5)
+    b = np.random.default_rng(5)
+    scalars = [dist.sample(a) for _ in range(300)]
+    singles = [dist.sample(b, 1)[0] for _ in range(300)]
+    assert {type(x) for x in scalars} == {float}
+    assert np.array(scalars).tobytes() == np.array(singles, np.float64).tobytes()
+    assert a.bit_generator.state == b.bit_generator.state

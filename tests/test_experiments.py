@@ -9,15 +9,21 @@ import numpy as np
 import pytest
 
 from selverify import (
+    Action,
+    BetaDist,
     CalibratedStream,
     DriftStream,
     ParetoPoint,
     PointMass,
     PolicyConfig,
+    ProtocolError,
     RunSpec,
+    StreamItem,
     TaskOutcome,
     Trace,
     UniformDist,
+    VerificationPolicy,
+    VerifierStream,
     check_claims,
     derive_seed,
     error_curves,
@@ -75,6 +81,50 @@ def assert_traces_equal(a: Trace, b: Trace):
     assert a.ledger == b.ledger
 
 
+def reference_engine(cfg: PolicyConfig, stream, horizon=None) -> dict:
+    """Every trace column of a run, each recorded round by round from the
+    policy's own records. The engine records only the sequential state and
+    derives the rest with the kernel's code; this loop checks that
+    derivation independently."""
+    policy = VerificationPolicy(cfg)
+    cols = {name: [] for name in TRACE_COLUMNS}
+    while horizon is None or len(cols["t"]) < horizon:
+        item = stream.next()
+        if item is None:
+            break
+        rec = policy.decide(item.w)
+        if rec.action is Action.STRONG_VERIFY:
+            g = stream.answer_strong_query()
+            policy.feedback(g)
+            final = Action.ACCEPT if g == 1 else Action.REJECT
+            g_obs = g
+        else:
+            policy.advance()
+            final = rec.action
+            g_obs = -1
+        if stream.reactive:
+            stream.react(final)
+        cols["t"].append(rec.t)
+        cols["w"].append(rec.w)
+        cols["region"].append(experiments.REGION_NAMES.index(rec.region.value))
+        cols["action"].append(experiments.ACTION_NAMES.index(rec.action.value))
+        cols["q"].append(rec.q)
+        cols["explored"].append(rec.explored)
+        cols["g_observed"].append(g_obs)
+        cols["g_latent"].append(item.g_latent)
+        cols["tau_r_before"].append(rec.thresholds_before.reject)
+        cols["tau_a_before"].append(rec.thresholds_before.accept)
+        cols["tau_r_after"].append(rec.thresholds_after.reject)
+        cols["tau_a_after"].append(rec.thresholds_after.accept)
+    dtypes = {c.attr: c.dtype for c in experiments._COLUMNS}
+    return {name: np.asarray(vals, dtypes[name]) for name, vals in cols.items()}
+
+
+def assert_matches_reference(trace: Trace, ref: dict):
+    for col in TRACE_COLUMNS:
+        assert_bitwise_equal(getattr(trace, col), ref[col], col)
+
+
 class TestBookkeeping:
     def test_ledger_totals(self):
         trace = uniform_run()
@@ -111,6 +161,18 @@ class TestBookkeeping:
         assert trace.outcome.problems_total == 40
         assert uniform_run(horizon=10).outcome is None
 
+    @pytest.mark.parametrize("horizon", [50, None])
+    def test_a_horizon_takes_a_prefix_of_a_task_run(self, horizon):
+        spec = preset_math_like("easy", problems=200, budget=4, seed=3)
+        full = run_one(config(), make_stream(spec))
+        trace = run_one(config(), make_stream(spec), horizon=horizon)
+        n = len(full) if horizon is None else horizon
+        assert len(trace) == n
+        for col in TRACE_COLUMNS:
+            assert_bitwise_equal(getattr(trace, col), getattr(full, col)[:n], col)
+        # the outcome belongs to a finished stream only
+        assert (trace.outcome is None) == (horizon is not None)
+
 
 class TestEngineKernelAgreement:
     @pytest.mark.parametrize(
@@ -134,6 +196,7 @@ class TestEngineKernelAgreement:
         fast = run_one(cfg, make_stream(spec), horizon=2_000)
         slow = run_one(cfg, make_stream(spec), horizon=2_000, force_engine=True)
         assert_traces_equal(fast, slow)
+        assert_matches_reference(slow, reference_engine(cfg, make_stream(spec), 2_000))
 
     @pytest.mark.parametrize("kw, horizon", [
         ({"tau_reject_init": -0.0}, 2_000),
@@ -148,6 +211,36 @@ class TestEngineKernelAgreement:
         slow = run_one(cfg, make_stream(spec), horizon=horizon, force_engine=True)
         assert len(fast) == horizon
         assert_traces_equal(fast, slow)
+        assert_matches_reference(slow, reference_engine(cfg, make_stream(spec), horizon))
+
+    @pytest.mark.parametrize("spec", [
+        preset_math_like("easy", problems=150, seed=6),
+        {
+            "kind": "stepwise", "episodes": 60, "steps": 4, "step_correct_prob": 0.8,
+            "correct_scores": BetaDist(9.0, 1.0).to_dict(),
+            "incorrect_scores": BetaDist(3.3, 6.7).to_dict(),
+            "retries": 2, "seed": 6,
+        },
+    ])
+    def test_engine_matches_the_reference_on_task_streams(self, spec):
+        cfg = config(seed=11, q_accept=0.3, q_reject=0.2)
+        trace = run_one(cfg, make_stream(spec))
+        assert_matches_reference(trace, reference_engine(cfg, make_stream(spec)))
+        assert isinstance(trace.outcome, TaskOutcome)
+
+    def test_a_wrong_strong_label_is_a_protocol_error(self):
+        class Contradicting(VerifierStream):
+            """Uncertain scores, always escalated, answered with the label
+            the item does not have."""
+
+            def next(self):
+                return StreamItem(w=0.5, g_latent=0)
+
+            def answer_strong_query(self):
+                return 1
+
+        with pytest.raises(ProtocolError):
+            run_one(config(), Contradicting(), horizon=5, force_engine=True, echo={})
 
     def test_array_containers_equal_list_containers(self, monkeypatch):
         # without numba, njit is the identity, so this runs the array branch

@@ -3,22 +3,21 @@
 import numpy as np
 import pytest
 
-from selverify import (
-    Action,
-    DecisionRecord,
-    ErrorLedger,
-    Region,
-    Thresholds,
-    delta_bound,
-)
+from selverify import ErrorLedger, delta_bound
+from selverify.experiments import _ledger_from_arrays
 
-TH = Thresholds(0.3, 0.7)
+ACCEPT, REJECT, SV = 0, 1, 2  # action codes of the trace columns
+TAU_R, TAU_A = 0.3, 0.7
 
 
-def rec(t, w, region, action, g_observed=None, q=0.1, explored=False):
-    return DecisionRecord(
-        t=t, w=w, region=region, action=action, q=q, explored=explored,
-        thresholds_before=TH, g_observed=g_observed, thresholds_after=TH,
+def tally(rounds):
+    """The ledger of (w, action, g_latent) rounds, all under thresholds
+    (TAU_R, TAU_A)."""
+    w, action, g = (np.array(c) for c in zip(*rounds))
+    n = len(rounds)
+    return _ledger_from_arrays(
+        w.astype(np.float64), action.astype(np.int64), g.astype(np.int64),
+        np.full(n, TAU_R), np.full(n, TAU_A),
     )
 
 
@@ -26,24 +25,22 @@ def hand_trace():
     """Six rounds tallied by hand; expected counts in the test below."""
     return [
         # unilateral accept of an incorrect item: policy and threshold error
-        (rec(1, 0.8, Region.ACCEPT, Action.ACCEPT), 0),
+        (0.8, ACCEPT, 0),
         # escalated uncertain round, incorrect: no error either way
-        (rec(2, 0.5, Region.UNCERTAIN, Action.STRONG_VERIFY, g_observed=0, q=1.0), 0),
+        (0.5, SV, 0),
         # unilateral reject of an incorrect item: correct decision
-        (rec(3, 0.1, Region.REJECT, Action.REJECT), 0),
+        (0.1, REJECT, 0),
         # unilateral rejects of correct items: policy and threshold errors
-        (rec(4, 0.1, Region.REJECT, Action.REJECT), 1),
-        (rec(5, 0.2, Region.REJECT, Action.REJECT), 1),
+        (0.1, REJECT, 1),
+        (0.2, REJECT, 1),
         # escalated uncertain round, correct: no error
-        (rec(6, 0.6, Region.UNCERTAIN, Action.STRONG_VERIFY, g_observed=1, q=1.0), 1),
+        (0.6, SV, 1),
     ]
 
 
 class TestLedger:
     def test_hand_tally(self):
-        led = ErrorLedger()
-        for r, g in hand_trace():
-            led.record(r, g)
+        led = tally(hand_trace())
         assert (led.n0, led.n1) == (3, 3)
         assert (led.type1_policy, led.type2_policy) == (1, 2)
         assert (led.type1_threshold, led.type2_threshold) == (1, 2)
@@ -55,10 +52,7 @@ class TestLedger:
     def test_threshold_tally_counts_explored_rounds(self):
         # an explored accept-region round is SV, not a policy error, but the
         # score still fell above the accept threshold
-        led = ErrorLedger()
-        r = rec(1, 0.9, Region.ACCEPT, Action.STRONG_VERIFY, g_observed=0,
-                explored=True)
-        led.record(r, 0)
+        led = tally([(0.9, SV, 0)])
         assert led.type1_policy == 0
         assert led.type1_threshold == 1
         assert led.sv_count == 1
@@ -70,43 +64,6 @@ class TestLedger:
         assert led.err_type1_threshold() == 0.0
         assert led.err_type2_threshold() == 0.0
         assert led.sv_rate() == 0.0
-
-    def test_label_mismatch_detected(self):
-        led = ErrorLedger()
-        r = rec(1, 0.5, Region.UNCERTAIN, Action.STRONG_VERIFY, g_observed=1, q=1.0)
-        with pytest.raises(RuntimeError):
-            led.record(r, 0)
-
-    def test_bad_latent_label(self):
-        led = ErrorLedger()
-        with pytest.raises(ValueError):
-            led.record(rec(1, 0.5, Region.UNCERTAIN, Action.STRONG_VERIFY,
-                           g_observed=1, q=1.0), 2)
-
-    def test_record_observed(self):
-        led = ErrorLedger()
-        led.record_observed(
-            rec(1, 0.5, Region.UNCERTAIN, Action.STRONG_VERIFY, g_observed=1, q=1.0)
-        )
-        assert (led.n1, led.total) == (1, 1)
-        # unilateral rounds have no label: total only
-        led.record_observed(rec(2, 0.8, Region.ACCEPT, Action.ACCEPT))
-        assert (led.n0, led.n1, led.total) == (0, 1, 2)
-        # an unresolved escalation cannot be tallied
-        pending = rec(3, 0.5, Region.UNCERTAIN, Action.STRONG_VERIFY, q=1.0)
-        with pytest.raises(ValueError):
-            led.record_observed(pending)
-
-    def test_merge(self):
-        a = ErrorLedger(n0=1, n1=2, type1_policy=1, type2_policy=0,
-                        type1_threshold=1, type2_threshold=1, sv_count=1, total=3)
-        b = ErrorLedger(n0=2, n1=1, type1_policy=0, type2_policy=1,
-                        type1_threshold=1, type2_threshold=1, sv_count=2, total=3)
-        merged = a + b
-        assert merged == a.merge(b)
-        assert (merged.n0, merged.n1, merged.total) == (3, 3, 6)
-        assert merged.sv_count == 3
-        assert merged.err_type1() == pytest.approx(1 / 3)
 
 
 class TestDeltaBound:
