@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -59,19 +60,18 @@ EXIT_CHECK_FAILED = 1
 EXIT_IO = 2
 EXIT_VALIDATION = 3
 
-SWEEP_COLUMNS = [
-    "alpha",
-    "beta",
-    "accuracy",
-    "accuracy_stderr",
-    "strong_per_problem",
-    "weak_per_problem",
-    "err1",
-    "err2",
-    "reps",
-    "is_oracle",
-    "is_weak_only",
+# A sweep CSV row holds the compared fields of `ParetoPoint` in declaration
+# order; each cell is parsed by its field's annotation.
+_CELL_PARSERS = {
+    "Optional[float]": lambda s: None if s == "" else float(s),
+    "float": float,
+    "int": int,
+    "bool": lambda s: bool(int(s)),
+}
+_SWEEP_FIELDS = [
+    (f.name, _CELL_PARSERS[f.type]) for f in dataclasses.fields(ParetoPoint) if f.compare
 ]
+SWEEP_COLUMNS = [name for name, _ in _SWEEP_FIELDS]
 
 
 def _dumps(obj) -> str:
@@ -194,37 +194,12 @@ def _fmt_cell(v) -> str:
 
 
 def point_to_row(p: ParetoPoint) -> list[str]:
-    return [
-        _fmt_cell(p.alpha),
-        _fmt_cell(p.beta),
-        _fmt_cell(p.accuracy),
-        _fmt_cell(p.accuracy_stderr),
-        _fmt_cell(p.strong_per_problem),
-        _fmt_cell(p.weak_per_problem),
-        _fmt_cell(p.err1),
-        _fmt_cell(p.err2),
-        str(p.reps),
-        str(int(p.is_oracle)),
-        str(int(p.is_weak_only)),
-    ]
+    return [_fmt_cell(getattr(p, name)) for name in SWEEP_COLUMNS]
 
 
 def point_from_row(row: list[str]) -> ParetoPoint:
-    def opt_float(s: str):
-        return None if s == "" else float(s)
-
     return ParetoPoint(
-        alpha=opt_float(row[0]),
-        beta=opt_float(row[1]),
-        accuracy=float(row[2]),
-        accuracy_stderr=float(row[3]),
-        strong_per_problem=float(row[4]),
-        weak_per_problem=float(row[5]),
-        err1=opt_float(row[6]),
-        err2=opt_float(row[7]),
-        reps=int(row[8]),
-        is_oracle=bool(int(row[9])),
-        is_weak_only=bool(int(row[10])),
+        **{name: parse(cell) for (name, parse), cell in zip(_SWEEP_FIELDS, row)}
     )
 
 
@@ -245,8 +220,7 @@ def cmd_sweep(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
-    for p in rows:
-        writer.writerow(point_to_row(p))
+    writer.writerows(point_to_row(p) for p in rows)
     out = _resolve_output(args.output, "sweep.csv")
     with _atomic_write(out) as fh:
         fh.write(buf.getvalue())

@@ -26,7 +26,7 @@ import numpy as np
 from . import _kernel
 from ._kernel import ACTION_ACCEPT, ACTION_REJECT, ACTION_STRONG_VERIFY
 from .metrics import ErrorLedger, delta_bound
-from .policy import Action, PolicyConfig, ProtocolError, VerificationPolicy
+from .policy import Action, PolicyConfig, ProtocolError, Region, VerificationPolicy
 from .streams import (
     CalibratedStream,
     MiscalibratedStream,
@@ -53,8 +53,9 @@ __all__ = [
     "ACTION_NAMES",
 ]
 
-REGION_NAMES = ("accept", "reject", "uncertain")
-ACTION_NAMES = ("accept", "reject", "strong_verify")
+# The enum order is the `_kernel` code order (REGION_ACCEPT = 0, ...).
+REGION_NAMES = tuple(r.value for r in Region)
+ACTION_NAMES = tuple(a.value for a in Action)
 
 
 def _json_numbers(vals: list) -> list[str]:

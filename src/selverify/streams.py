@@ -6,8 +6,10 @@ reveals its label at the cost of one strong call, and `react` reports the
 caller's final accept/reject so task-structured streams can redraw or
 finalize. Non-reactive streams (calibrated, miscalibrated, drifting) ignore
 `react`; the best-of-n and stepwise streams use it to drive per-problem and
-per-episode bookkeeping. An external verifier can stand in for any of these
-by implementing the same four methods.
+per-episode bookkeeping. Those two share one base, `_TaskStream`, which
+holds their candidate draw, counters, outcome and weak-only baseline. An
+external verifier can stand in for any of these by implementing the same
+four methods.
 
 Environment randomness is always a separate generator from policy
 randomness, seeded from the stream spec alone, so item sequences replay
@@ -110,14 +112,10 @@ class VerifierStream:
     """Interface every environment implements.
 
     `reactive` tells callers whether final decisions feed back into the
-    stream. Calling `react` on a non-reactive stream is harmless; it sets
-    `react_ignored` so tests can detect the misuse.
+    stream. Non-reactive streams ignore `react`.
     """
 
     reactive = False
-
-    def __init__(self):
-        self.react_ignored = False
 
     def next(self) -> Optional[StreamItem]:
         """Pending item, or None once the stream is exhausted."""
@@ -129,7 +127,6 @@ class VerifierStream:
 
     def react(self, final: Action) -> None:
         """Report the final accept/reject for the pending item."""
-        self.react_ignored = True
 
     def outcome(self) -> TaskOutcome:
         raise ProtocolError("this stream does not aggregate task outcomes")
@@ -155,7 +152,6 @@ class _BufferedStream(VerifierStream):
     """Non-reactive base: scores in blocks, labels Bernoulli(link(score))."""
 
     def __init__(self, seed: int):
-        super().__init__()
         if not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
         self.seed = int(seed)
@@ -307,7 +303,89 @@ class DriftStream(_BufferedStream):
         }
 
 
-class BestOfNStream(VerifierStream):
+class _TaskStream(VerifierStream):
+    """Reactive base of the task streams; a unit is a problem or an episode.
+
+    Each class supplies its candidates' success probabilities as an array
+    (`_success_probs`), `_finalize` to close a unit and `_weak_only_unit`.
+    """
+
+    reactive = True
+
+    def __init__(
+        self,
+        units: int,
+        correct_scores: ScoreDist,
+        incorrect_scores: ScoreDist,
+        seed: int,
+    ):
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+        self.correct_scores = correct_scores
+        self.incorrect_scores = incorrect_scores
+        self.seed = int(seed)
+        self._rng = np.random.default_rng(self.seed)
+        self._pending: Optional[StreamItem] = None
+        self._units = int(units)
+        self._finished = 0
+        self._correct = 0
+        self._weak_calls = 0
+        self._strong_calls = 0
+
+    def _draw(self, p: float) -> tuple[float, int]:
+        """One candidate, correct with probability p: label, then score."""
+        g = 1 if self._rng.random() < p else 0
+        dist = self.correct_scores if g == 1 else self.incorrect_scores
+        w = dist.sample(self._rng)
+        self._weak_calls += 1
+        return w, g
+
+    def _best_of(self, n: int, p: float) -> int:
+        """Label of the highest-scored of n fresh candidates."""
+        best_w, best_g = -1.0, 0
+        for _ in range(n):
+            w, g = self._draw(p)
+            if w > best_w:
+                best_w, best_g = w, g
+        return best_g
+
+    def _sample_candidates(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """n i.i.d. candidates: success probabilities, labels, then the
+        correct scores, then the incorrect ones."""
+        p = self._success_probs(n)
+        g = (self._rng.random(n) < p).astype(np.int64)
+        w = np.empty(n)
+        n1 = int(g.sum())
+        w[g == 1] = self.correct_scores.sample(self._rng, n1)
+        w[g == 0] = self.incorrect_scores.sample(self._rng, n - n1)
+        return w, g
+
+    def answer_strong_query(self) -> int:
+        if self._pending is None:
+            raise ProtocolError("no pending candidate to query")
+        self._strong_calls += 1
+        return self._pending.g_latent
+
+    def outcome(self) -> TaskOutcome:
+        if self._finished < self._units or self._pending is not None:
+            raise ProtocolError("outcome requested before the stream finished")
+        return TaskOutcome(
+            problems_total=self._units,
+            problems_correct=self._correct,
+            strong_calls_per_problem=self._strong_calls / self._units,
+            weak_calls_per_problem=self._weak_calls / self._units,
+        )
+
+    def run_weak_only(self) -> TaskOutcome:
+        """Greedy baseline: never query the strong verifier."""
+        if self._weak_calls or self._finished:
+            raise ProtocolError("baseline runs need a fresh stream")
+        for _ in range(self._units):
+            self._finalize(self._weak_only_unit())
+        return self.outcome()
+
+
+class BestOfNStream(_TaskStream):
     """Outcome-level task stream: one answer per problem, redraws on reject.
 
     Each problem draws a base correctness rate from `difficulty`, then
@@ -319,8 +397,6 @@ class BestOfNStream(VerifierStream):
     way and the redraw still costs budget.
     """
 
-    reactive = True
-
     def __init__(
         self,
         problems: int,
@@ -330,97 +406,52 @@ class BestOfNStream(VerifierStream):
         incorrect_scores: ScoreDist,
         seed: int,
     ):
-        super().__init__()
         if problems < 1:
             raise ValueError(f"problems must be >= 1, got {problems}")
         if budget < 1:
             raise ValueError(f"budget must be >= 1, got {budget}")
-        if not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+        super().__init__(problems, correct_scores, incorrect_scores, seed)
         self.problems = int(problems)
         self.budget = int(budget)
         self.difficulty = difficulty
-        self.correct_scores = correct_scores
-        self.incorrect_scores = incorrect_scores
-        self.seed = int(seed)
-        self._rng = np.random.default_rng(self.seed)
-        self._problem_index = 0
         self._candidates_used = 0
         self._base = 0.0
-        self._pending: Optional[StreamItem] = None
-        self._correct = 0
-        self._weak_calls = 0
-        self._strong_calls = 0
-
-    def _draw_candidate(self) -> tuple[float, int]:
-        g = 1 if self._rng.random() < self._base else 0
-        dist = self.correct_scores if g == 1 else self.incorrect_scores
-        w = dist.sample(self._rng)
-        self._weak_calls += 1
-        return w, g
 
     def next(self) -> Optional[StreamItem]:
         if self._pending is not None:
             raise ProtocolError("pending candidate awaits react()")
-        if self._problem_index >= self.problems:
+        if self._finished >= self.problems:
             return None
         if self._candidates_used == 0:
             self._base = self.difficulty.sample(self._rng)
-        w, g = self._draw_candidate()
+        w, g = self._draw(self._base)
         self._candidates_used += 1
-        self._pending = StreamItem(w=w, g_latent=g, problem_id=self._problem_index)
+        self._pending = StreamItem(w=w, g_latent=g, problem_id=self._finished)
         return self._pending
 
-    def answer_strong_query(self) -> int:
-        if self._pending is None:
-            raise ProtocolError("no pending candidate to query")
-        self._strong_calls += 1
-        return self._pending.g_latent
-
-    def _finalize_problem(self, correct: bool) -> None:
+    def _finalize(self, correct: bool) -> None:
         self._correct += int(correct)
-        self._problem_index += 1
+        self._finished += 1
         self._candidates_used = 0
 
     def react(self, final: Action) -> None:
         if self._pending is None:
             raise ProtocolError("no pending candidate to react to")
         if final is Action.ACCEPT:
-            self._finalize_problem(self._pending.g_latent == 1)
+            self._finalize(self._pending.g_latent == 1)
         elif final is Action.REJECT:
             if self._candidates_used >= self.budget:
-                self._finalize_problem(False)
+                self._finalize(False)
         else:
             raise ValueError(f"final decision must be accept or reject, got {final!r}")
         self._pending = None
 
-    def outcome(self) -> TaskOutcome:
-        if self._problem_index < self.problems or self._pending is not None:
-            raise ProtocolError("outcome requested before the stream finished")
-        return TaskOutcome(
-            problems_total=self.problems,
-            problems_correct=self._correct,
-            strong_calls_per_problem=self._strong_calls / self.problems,
-            weak_calls_per_problem=self._weak_calls / self.problems,
-        )
+    def _weak_only_unit(self) -> bool:
+        # the full budget, then the highest-scored candidate
+        return self._best_of(self.budget, self.difficulty.sample(self._rng)) == 1
 
-    def run_weak_only(self) -> TaskOutcome:
-        """Greedy baseline: spend the full budget per problem, accept the
-        candidate with the highest weak score, never query the strong
-        verifier."""
-        if self._weak_calls or self._problem_index:
-            raise ProtocolError("baseline runs need a fresh stream")
-        for _ in range(self.problems):
-            self._base = self.difficulty.sample(self._rng)
-            best_w = -1.0
-            best_g = 0
-            for _ in range(self.budget):
-                w, g = self._draw_candidate()
-                if w > best_w:
-                    best_w = w
-                    best_g = g
-            self._finalize_problem(best_g == 1)
-        return self.outcome()
+    def _success_probs(self, n: int) -> np.ndarray:
+        return self.difficulty.sample(self._rng, n)
 
     def spec_dict(self) -> dict:
         return {
@@ -434,7 +465,7 @@ class BestOfNStream(VerifierStream):
         }
 
 
-class StepwiseStream(VerifierStream):
+class StepwiseStream(_TaskStream):
     """Episode-level task stream: L steps in sequence, per-step retries.
 
     Steps are correct independently with probability step_correct_prob.
@@ -444,8 +475,6 @@ class StepwiseStream(VerifierStream):
     immediately. An episode is correct only if every accepted step was
     latently correct.
     """
-
-    reactive = True
 
     def __init__(
         self,
@@ -457,7 +486,6 @@ class StepwiseStream(VerifierStream):
         retries: int,
         seed: int,
     ):
-        super().__init__()
         if episodes < 1 or steps < 1:
             raise ValueError(
                 f"episodes and steps must be >= 1, got {episodes}, {steps}"
@@ -468,55 +496,29 @@ class StepwiseStream(VerifierStream):
             )
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
-        if not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+        super().__init__(episodes, correct_scores, incorrect_scores, seed)
         self.episodes = int(episodes)
         self.steps = int(steps)
         self.step_correct_prob = float(step_correct_prob)
-        self.correct_scores = correct_scores
-        self.incorrect_scores = incorrect_scores
         self.retries = int(retries)
-        self.seed = int(seed)
-        self._rng = np.random.default_rng(self.seed)
-        self._episode_index = 0
         self._step_index = 0
         self._rejects_this_step = 0
         self._tainted = False
-        self._pending: Optional[StreamItem] = None
-        self._correct = 0
-        self._weak_calls = 0
-        self._strong_calls = 0
-
-    def _draw_step(self) -> tuple[float, int]:
-        g = 1 if self._rng.random() < self.step_correct_prob else 0
-        dist = self.correct_scores if g == 1 else self.incorrect_scores
-        w = dist.sample(self._rng)
-        self._weak_calls += 1
-        return w, g
 
     def next(self) -> Optional[StreamItem]:
         if self._pending is not None:
             raise ProtocolError("pending step awaits react()")
-        if self._episode_index >= self.episodes:
+        if self._finished >= self.episodes:
             return None
-        w, g = self._draw_step()
+        w, g = self._draw(self.step_correct_prob)
         self._pending = StreamItem(
-            w=w,
-            g_latent=g,
-            problem_id=self._episode_index,
-            step_index=self._step_index,
+            w=w, g_latent=g, problem_id=self._finished, step_index=self._step_index
         )
         return self._pending
 
-    def answer_strong_query(self) -> int:
-        if self._pending is None:
-            raise ProtocolError("no pending step to query")
-        self._strong_calls += 1
-        return self._pending.g_latent
-
-    def _finalize_episode(self, correct: bool) -> None:
+    def _finalize(self, correct: bool) -> None:
         self._correct += int(correct)
-        self._episode_index += 1
+        self._finished += 1
         self._step_index = 0
         self._rejects_this_step = 0
         self._tainted = False
@@ -530,45 +532,26 @@ class StepwiseStream(VerifierStream):
             self._step_index += 1
             self._rejects_this_step = 0
             if self._step_index == self.steps:
-                self._finalize_episode(not self._tainted)
+                self._finalize(not self._tainted)
         elif final is Action.REJECT:
             self._rejects_this_step += 1
             if self._rejects_this_step > self.retries:
-                self._finalize_episode(False)
+                self._finalize(False)
         else:
             raise ValueError(f"final decision must be accept or reject, got {final!r}")
         self._pending = None
 
-    def outcome(self) -> TaskOutcome:
-        if self._episode_index < self.episodes or self._pending is not None:
-            raise ProtocolError("outcome requested before the stream finished")
-        return TaskOutcome(
-            problems_total=self.episodes,
-            problems_correct=self._correct,
-            strong_calls_per_problem=self._strong_calls / self.episodes,
-            weak_calls_per_problem=self._weak_calls / self.episodes,
-        )
+    def _weak_only_unit(self) -> bool:
+        # per step, the highest-scored of the step and all its retries;
+        # every step is drawn, even after a wrong one
+        labels = [
+            self._best_of(1 + self.retries, self.step_correct_prob)
+            for _ in range(self.steps)
+        ]
+        return 0 not in labels
 
-    def run_weak_only(self) -> TaskOutcome:
-        """Greedy baseline: per step, draw the step plus all its retries and
-        keep the candidate with the highest weak score."""
-        if self._weak_calls or self._episode_index:
-            raise ProtocolError("baseline runs need a fresh stream")
-        pool = 1 + self.retries
-        for _ in range(self.episodes):
-            tainted = False
-            for _ in range(self.steps):
-                best_w = -1.0
-                best_g = 0
-                for _ in range(pool):
-                    w, g = self._draw_step()
-                    if w > best_w:
-                        best_w = w
-                        best_g = g
-                if best_g == 0:
-                    tainted = True
-            self._finalize_episode(not tainted)
-        return self.outcome()
+    def _success_probs(self, n: int) -> np.ndarray:
+        return np.full(n, self.step_correct_prob)
 
     def spec_dict(self) -> dict:
         return {
@@ -642,41 +625,23 @@ def run_strong_only(stream: VerifierStream) -> TaskOutcome:
 
 def run_weak_only(stream: VerifierStream) -> TaskOutcome:
     """Greedy baseline: accept the argmax-score candidate from each pool."""
-    if not isinstance(stream, (BestOfNStream, StepwiseStream)):
+    if not isinstance(stream, _TaskStream):
         raise ValueError("the greedy baseline needs a task stream")
     return stream.run_weak_only()
 
 
 def sample_items(spec: dict, n: int, seed: Optional[int] = None):
-    """Draw n items i.i.d. from the stream's candidate marginal.
+    """Draw n (scores, labels) from the stream `make_stream(spec, seed)`.
 
     Non-reactive streams are consumed directly (drift yields at most its
-    total length). Task streams are sampled at the candidate level: base
-    rate, then label, then the matching conditional score distribution.
-    Returns (scores, labels) arrays.
+    total length). Task streams are sampled i.i.d. at the candidate level.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    kind = spec.get("kind")
-    if kind in ("calibrated", "miscalibrated", "drift"):
-        stream = make_stream(spec, seed=seed)
-        return stream.take(n)
-    if kind not in ("best_of_n", "stepwise"):
-        raise ValueError(f"unknown stream kind {kind!r}")
-    rng = np.random.default_rng(spec.get("seed", 0) if seed is None else seed)
-    if kind == "best_of_n":
-        difficulty = dist_from_dict(spec["difficulty"])
-        base = difficulty.sample(rng, n)
-    else:
-        base = np.full(n, float(spec["step_correct_prob"]))
-    g = (rng.random(n) < base).astype(np.int64)
-    correct = dist_from_dict(spec["correct_scores"])
-    incorrect = dist_from_dict(spec["incorrect_scores"])
-    w = np.empty(n)
-    n1 = int(g.sum())
-    w[g == 1] = correct.sample(rng, n1)
-    w[g == 0] = incorrect.sample(rng, n - n1)
-    return w, g
+    stream = make_stream(spec, seed=seed)
+    if isinstance(stream, _TaskStream):
+        return stream._sample_candidates(n)
+    return stream.take(n)
 
 
 def score_report(

@@ -12,6 +12,7 @@ import pytest
 
 import selverify
 from selverify import (
+    BetaDist,
     ParetoPoint,
     PointMass,
     PolicyConfig,
@@ -60,6 +61,18 @@ def simulate_config(tmp_path, **kw):
     }
     cfg.update(kw)
     return write_config(tmp_path, "sim.json", cfg)
+
+
+STEPWISE_SPEC = {
+    "kind": "stepwise",
+    "episodes": 60,
+    "steps": 4,
+    "step_correct_prob": 0.8,
+    "correct_scores": BetaDist(8.0, 2.0).to_dict(),
+    "incorrect_scores": BetaDist(3.0, 6.0).to_dict(),
+    "retries": 2,
+    "seed": 0,
+}
 
 
 def read_lines(path):
@@ -193,6 +206,11 @@ GOLDEN_TRACES = {
          "horizon": 1000, "seed_base": 0},
         "e5ed6a0e34380cf94275e3aa7dcf196b6e75c2cd0fdb0195c684e2bfd9ed94b6",
     ),
+    "stepwise_engine": (
+        {"policy": {**POLICY, "q_accept": 0.3, "q_reject": 0.2},
+         "stream": STEPWISE_SPEC, "horizon": None, "seed_base": 7},
+        "6920f39313e1ff46819dfe81a7c56861a3de01c9f583a1913c91bdf638e5ffc0",
+    ),
 }
 
 
@@ -267,6 +285,16 @@ class TestSweep:
         )
         assert [point_from_row(r) for r in rows[1:]] == recomputed
         assert "wrote 9 rows" in capsys.readouterr().out
+
+    def test_csv_bytes_are_pinned(self, tmp_path):
+        cfg = write_config(tmp_path, "sweep.json", {
+            **sweep_cfg_dict(), "stream": STEPWISE_SPEC, "targets": [[0.05, 0.1], [0.2, 0.2]],
+        })
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "-c", cfg, "-o", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "5c818ac80bad1ca6a13df60c933c8179788abbec3b597c86050a8a0ad97a9256"
+        )
 
     def test_missing_targets_is_a_validation_error(self, tmp_path):
         d = sweep_cfg_dict()
@@ -537,6 +565,12 @@ class TestDiagnose:
         assert main(["diagnose", "-c", cfg, "-o", str(out), "--seed", "5"]) == EXIT_OK
         report = json.loads(out.read_text())
         assert report["separation"] == pytest.approx(0.57, abs=0.03)
+
+    def test_incomplete_task_spec_is_a_validation_error(self, tmp_path):
+        stream = preset_math_like("easy")
+        del stream["problems"]
+        cfg = write_config(tmp_path, "diag.json", {"stream": stream, "samples": 100})
+        assert main(["diagnose", "-c", cfg, "-o", str(tmp_path / "d.json")]) == EXIT_VALIDATION
 
     def test_stdout_summarizes_the_report(self, tmp_path, capsys):
         cfg = write_config(

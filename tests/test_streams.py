@@ -1,6 +1,9 @@
 """Verification environments: exact task-stream semantics on degenerate
 score laws, frozen-seed statistical checks against closed-form moments."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -74,17 +77,11 @@ class TestCalibrated:
         ref, _ = b.take(3100 + CHUNK)
         assert np.array_equal(np.array(ws), ref)
 
-    def test_react_is_ignored_but_flagged(self):
+    def test_no_task_outcome(self):
         s = CalibratedStream(UniformDist(), seed=0)
         assert s.reactive is False
-        assert s.react_ignored is False
-        s.next()
-        s.react(Action.ACCEPT)
-        assert s.react_ignored is True
-
-    def test_no_task_outcome(self):
         with pytest.raises(ProtocolError):
-            CalibratedStream(UniformDist(), seed=0).outcome()
+            s.outcome()
 
     def test_strong_query_needs_pending_item(self):
         s = CalibratedStream(UniformDist(), seed=0)
@@ -436,6 +433,43 @@ class TestSampleItems:
             sample_items(UNIFORM_SPEC, -1)
         with pytest.raises(ValueError):
             sample_items({"kind": "laplace"}, 10)
+        incomplete = preset_math_like("easy")
+        del incomplete["problems"]
+        with pytest.raises(ValueError):
+            sample_items(incomplete, 10)
+
+
+def test_task_stream_draws_are_pinned():
+    # SHA-256 of the candidate marginal and both baselines' outcomes on
+    # each task kind; any change to the order of the draws changes it
+    specs = [
+        {
+            **preset_math_like("medium", problems=150, budget=3, seed=2),
+            "difficulty": MixtureDist(0.7, PointMass(0.9), BetaDist(2.0, 3.0)).to_dict(),
+        },
+        {
+            "kind": "stepwise",
+            "episodes": 80,
+            "steps": 3,
+            "step_correct_prob": 0.75,
+            "correct_scores": BetaDist(8.0, 2.0).to_dict(),
+            "incorrect_scores": BetaDist(3.0, 6.0).to_dict(),
+            "retries": 2,
+            "seed": 6,
+        },
+    ]
+    h = hashlib.sha256()
+    for spec in specs:
+        for seed in (None, 11):
+            w, g = sample_items(spec, 3000, seed=seed)
+            h.update(w.tobytes())
+            h.update(g.tobytes())
+        for baseline in (run_weak_only, run_strong_only):
+            out = baseline(make_stream(spec))
+            h.update(json.dumps(out.to_dict(), sort_keys=True).encode())
+    assert h.hexdigest() == (
+        "d6977c3d360fa030bb750c393e238f5e65cc880ea0e90968097ed01091778473"
+    )
 
 
 class TestScoreReport:
