@@ -23,6 +23,7 @@ import contextlib
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import os
 import sys
@@ -72,6 +73,9 @@ _SWEEP_FIELDS = [
     (f.name, _CELL_PARSERS[f.type]) for f in dataclasses.fields(ParetoPoint) if f.compare
 ]
 SWEEP_COLUMNS = [name for name, _ in _SWEEP_FIELDS]
+
+# Trace lines decoded per json.loads call by `check`.
+_DECODE_CHUNK = 512
 
 
 def _dumps(obj) -> str:
@@ -294,46 +298,105 @@ def cmd_population(args) -> int:
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
+def _decode_line(line: str, lineno: int):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"line {lineno}: {exc.msg} (column {exc.pos + 1})") from None
+
+
+def _decode_lines(lines: list, first: int) -> list:
+    """The values of the non-blank lines in `lines`, the first of which is
+    line `first` of its file.
+
+    The lines are decoded by one json.loads call, each wrapped in its own
+    brackets, and the result is used only if the text holds no other "["
+    and every wrapper holds one value. That is what decoding the lines one
+    at a time gives: a line keeps its newline and a JSON string cannot hold
+    a raw one, so no string spans two lines, and with no other "[" each
+    "]" can only close its own line's wrapper. Otherwise the lines are
+    decoded one at a time, so that an error names its line.
+    """
+    chunk = list(filter(str.strip, lines))
+    text = "[[" + "],[".join(chunk) + "]]"
+    if text.count("[") == len(chunk) + 1:
+        try:
+            wrapped = json.loads(text)
+        except (ValueError, RecursionError):
+            pass
+        else:
+            if sum(map(len, wrapped)) == len(chunk):
+                return [w[0] for w in wrapped]
+    return [_decode_line(line, n) for n, line in enumerate(lines, first) if line.strip()]
+
+
+def _check_header(header) -> None:
+    """Raise ValueError unless `header` holds the config and version that
+    `simulate` writes, with a policy `PolicyConfig` takes as it is and a
+    `delta` in (0, 1) if one is given."""
+    if (
+        not isinstance(header, dict)
+        or not isinstance(header.get("config"), dict)
+        or "version" not in header
+    ):
+        raise ValueError("first line must be a header object with config and version")
+    config = header["config"]
+    policy = config.get("policy")
+    if not isinstance(policy, dict):
+        raise ValueError("header config must hold a policy object")
+    try:
+        full = PolicyConfig.from_dict(policy).to_dict()
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"header policy: {exc}") from None
+    if full.keys() != policy.keys():
+        missing = sorted(full.keys() - policy.keys())
+        raise ValueError(f"header policy lacks {', '.join(missing)}")
+    delta = config.get("delta", 0.05)
+    if type(delta) not in (int, float) or not 0.0 < delta < 1.0:
+        raise ValueError(f"header delta must be a number in (0, 1), got {delta!r}")
+
+
 def _parse_trace_file(path: str) -> tuple[dict, Trace, Optional[dict]]:
-    """Header, trace and summary (or None) of a `simulate` file, read one
-    line at a time. The summary is a `metrics` object on the last non-blank
-    line; any other line after the header must be a round record."""
+    """Header, trace and summary (or None) of a `simulate` file, decoded a
+    chunk of lines at a time. The header is checked before any record is
+    decoded. The summary is a `metrics` object on the last non-blank line;
+    any other line after the header must be a round record."""
     summary = None
-
-    def records(objs):
-        # holds each object back by one line, until it is known not to be last
-        nonlocal summary
-        prev = none = object()
-        for obj in objs:
-            if prev is not none:
-                yield prev
-            prev = obj
-        if isinstance(prev, dict) and "metrics" in prev:
-            if not isinstance(prev["metrics"], dict):
-                raise ValueError("summary metrics must be an object")
-            summary = prev
-        elif prev is not none:
-            yield prev
-
     with open(path, "r", encoding="utf-8") as fh:
-        objs = (json.loads(line) for line in fh if line.strip())
-        header = next(objs, None)
+        lineno, header = 0, None
+        for lineno, line in enumerate(fh, 1):
+            if line.strip():
+                header = _decode_line(line, lineno)
+                break
         if header is None:
             raise ValueError("trace file is empty")
-        if (
-            not isinstance(header, dict)
-            or not isinstance(header.get("config"), dict)
-            or "version" not in header
-        ):
-            raise ValueError("first line must be a header object with config and version")
-        trace = Trace.from_records(header["config"], records(objs))
+        _check_header(header)
+
+        def record_chunks():
+            # holds each chunk back until it is known not to be the last
+            nonlocal summary
+            held, first = [], lineno + 1
+            while lines := list(itertools.islice(fh, _DECODE_CHUNK)):
+                values = _decode_lines(lines, first)
+                first += len(lines)
+                if values:
+                    yield held
+                    held = values
+            if held and isinstance(held[-1], dict) and "metrics" in held[-1]:
+                summary = held.pop()
+                if not isinstance(summary["metrics"], dict):
+                    raise ValueError("summary metrics must be an object")
+            yield held
+
+        records = itertools.chain.from_iterable(record_chunks())
+        trace = Trace.from_records(header["config"], records)
     return header, trace, summary
 
 
 def cmd_check(args) -> int:
     try:
         header, trace, summary = _parse_trace_file(args.trace)
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: cannot read trace: {exc}", file=sys.stderr)
         return EXIT_IO
     except (KeyError, ValueError, TypeError, IndexError, OverflowError) as exc:

@@ -255,23 +255,33 @@ class Trace:
 
     @staticmethod
     def from_records(config: dict, records: Iterable[dict]) -> "Trace":
-        """Rebuild a trace from round records, taken a chunk at a time."""
-        parts = {c.attr: [np.empty(0, c.dtype)] for c in _COLUMNS}
+        """Rebuild a trace from round records, taken a chunk at a time into
+        column arrays that double in size when full and are cut to length
+        in place at the end."""
+        cols = {c.attr: np.empty(0, c.dtype) for c in _COLUMNS}
         required = [c for c in _COLUMNS if not c.optional]
         optional = [c for c in _COLUMNS if c.optional]
         get = operator.itemgetter(*(c.key for c in required))
+        n = 0
         records = iter(records)
         while chunk := list(itertools.islice(records, _CHUNK_IN)):
+            end = n + len(chunk)
+            if end > len(cols["t"]):
+                size = max(2 * n, end)
+                for attr, a in cols.items():
+                    # unlike ndarray.resize, which zero-fills, this leaves rows n: untouched
+                    cols[attr] = np.empty(size, a.dtype)
+                    cols[attr][:n] = a[:n]
             for c, vals in zip(required, zip(*map(get, chunk))):
-                parts[c.attr].append(c.parse(vals))
+                cols[c.attr][n:end] = c.parse(vals)
             for c in optional:
                 vals = [rec[c.key] if c.key in rec else -1 for rec in chunk]
-                parts[c.attr].append(c.parse(vals))
-        trace = Trace(
-            config=config,
-            ledger=ErrorLedger(),
-            **{attr: np.concatenate(p) for attr, p in parts.items()},
-        )
+                cols[c.attr][n:end] = c.parse(vals)
+            n = end
+            del chunk  # let its records go before the next chunk is decoded
+        for a in cols.values():
+            a.resize(n, refcheck=False)
+        trace = Trace(config=config, ledger=ErrorLedger(), **cols)
         trace.ledger = recompute_ledger(trace)
         return trace
 
@@ -531,11 +541,10 @@ def check_claims(trace: Trace) -> dict:
     if len(trace):
         disp_accept = float(trace.tau_a_after[-1] - trace.tau_a_before[0]) / eta
         disp_reject = float(trace.tau_r_before[0] - trace.tau_r_after[-1]) / eta
-        taus = np.concatenate(
-            [trace.tau_r_before, trace.tau_a_before, trace.tau_r_after, trace.tau_a_after]
-        )
-        lo = float(taus.min())
-        hi = float(taus.max())
+        taus = (trace.tau_r_before, trace.tau_a_before, trace.tau_r_after, trace.tau_a_after)
+        # np.min and np.max, unlike the builtins, let a NaN through
+        lo = float(np.min([a.min() for a in taus]))
+        hi = float(np.max([a.max() for a in taus]))
     else:
         disp_accept = 0.0
         disp_reject = 0.0

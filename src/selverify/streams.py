@@ -99,14 +99,6 @@ class TaskOutcome:
             return 0.0
         return self.problems_correct / self.problems_total
 
-    def to_dict(self) -> dict:
-        return {
-            "problems_total": self.problems_total,
-            "problems_correct": self.problems_correct,
-            "strong_calls_per_problem": self.strong_calls_per_problem,
-            "weak_calls_per_problem": self.weak_calls_per_problem,
-        }
-
 
 class VerifierStream:
     """Interface every environment implements.

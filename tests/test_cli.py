@@ -8,9 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import selverify
+from selverify import cli, experiments
 from selverify import (
     BetaDist,
     ParetoPoint,
@@ -243,6 +245,46 @@ def test_simulate_and_check_never_import_scipy(tmp_path):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [EXIT_OK, EXIT_OK], "scipy": []}
+
+
+def _vm_hwm_kb():
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        return None
+
+
+@pytest.mark.skipif(_vm_hwm_kb() is None, reason="no VmHWM in /proc/self/status")
+def test_check_peak_memory_stays_near_the_columns(tmp_path):
+    # check holds the columns once plus one chunk of decoded lines; a
+    # second copy of the columns alone would take the growth to 2x
+    rounds = 100_000
+    cfg = write_config(tmp_path, "sim.json", {
+        "policy": POLICY, "stream": preset_drift(rounds, seed=0), "horizon": None,
+        "seed_base": 1,
+    })
+    out = str(tmp_path / "trace.jsonl")
+    assert main(["simulate", "-c", cfg, "-o", out]) == EXIT_OK
+    script = (
+        "import contextlib, io, json\n"
+        "import selverify.cli\n"
+        "def hwm():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
+        "before = hwm()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = selverify.cli.main(['check', {out!r}])\n"
+        "print(json.dumps({'code': code, 'growth_kb': hwm() - before}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(selverify.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    res = json.loads(proc.stdout.splitlines()[-1])
+    column_bytes = rounds * sum(np.dtype(c.dtype).itemsize for c in experiments._COLUMNS)
+    assert res["code"] == EXIT_OK
+    assert res["growth_kb"] * 1024 < 1.8 * column_bytes
 
 
 def sweep_cfg_dict():
@@ -539,6 +581,186 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error: malformed trace: ") and key in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda cfg: cfg.pop("policy"),
+        lambda cfg: cfg["policy"].update(eta="x"),
+        lambda cfg: cfg["policy"].update(eta=0),
+        lambda cfg: cfg["policy"].pop("q_accept"),
+        lambda cfg: cfg.update(delta="x"),
+    ], ids=["no_policy", "eta_not_a_number", "eta_zero", "policy_lacks_a_key",
+            "delta_not_a_number"])
+    def test_bad_header_config_is_an_io_error(self, tmp_path, capsys, edit):
+        trace = self.make_trace(tmp_path)
+        lines = trace.read_text().splitlines()
+        header = json.loads(lines[0])
+        edit(header["config"])
+        lines[0] = json.dumps(header)
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["check", str(trace)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed trace: header ") and "Traceback" not in err
+
+    def test_a_decode_error_names_its_file_line(self, tmp_path, capsys):
+        trace = self.make_trace(tmp_path)
+        lines = trace.read_text().splitlines()
+        lines.insert(3, "")
+        lines[10] = lines[10][:-1]  # file line 11 loses its closing brace
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["check", str(trace)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed trace: line 11: Expecting ',' delimiter")
+
+
+def per_line_parse(path):
+    """`cli._parse_trace_file` with one json.loads call per line: the
+    reference the chunked decoding must agree with."""
+    with open(path, "r", encoding="utf-8") as fh:
+        values = [json.loads(line) for line in fh if line.strip()]
+    if not values:
+        raise ValueError("trace file is empty")
+    header, records = values[0], values[1:]
+    cli._check_header(header)
+    summary = None
+    if records and isinstance(records[-1], dict) and "metrics" in records[-1]:
+        summary = records.pop()
+        if not isinstance(summary["metrics"], dict):
+            raise ValueError("summary metrics must be an object")
+    return header, Trace.from_records(header["config"], records), summary
+
+
+def _split_and_merge(lines):
+    # record 3 is cut at a comma over two lines and records 8 and 9 share
+    # one: joined with "," alone the lines would still make 40 records
+    head, tail = lines[3].split(",", 1)
+    lines[8:10] = [lines[8] + "," + lines[9]]
+    lines[3:4] = [head, tail]
+
+
+def _extra_key(value):
+    def edit(lines):
+        for i in (2, 7, 13):
+            rec = json.loads(lines[i])
+            rec["note"] = value
+            lines[i] = json.dumps(rec)
+    return edit
+
+
+def _blank_lines_at_chunk_edges(lines):
+    for i in (41, 11, 10, 6, 5, 2):
+        lines.insert(i, " \t" if i % 2 else "")
+
+
+def _crlf_line_endings(lines):
+    lines[:] = [line + "\r" for line in lines]
+
+
+def _bad_line_in_the_middle(lines):
+    lines[20] = lines[20][:-1]
+
+
+def _header_only(lines):
+    del lines[1:]
+
+
+def _header_and_summary(lines):
+    del lines[1:-1]
+
+
+DECODE_CORPUS = {
+    # name: (edit of the lines of an honest 40-round trace, exit code)
+    "honest": (lambda lines: None, EXIT_OK),
+    "split_and_merge": (_split_and_merge, EXIT_IO),
+    "two_records_on_one_line": (TestCheck._two_records_on_one_line, EXIT_IO),
+    "bracket_in_a_string": (_extra_key("a[b]c"), EXIT_OK),
+    "list_valued_extra_key": (_extra_key([1, [2, 3]]), EXIT_OK),
+    "blank_lines_at_chunk_edges": (_blank_lines_at_chunk_edges, EXIT_OK),
+    "crlf_line_endings": (_crlf_line_endings, EXIT_OK),
+    "bad_line_in_the_middle": (_bad_line_in_the_middle, EXIT_IO),
+    "header_only": (_header_only, EXIT_OK),
+    # the summary no longer matches the records it counted
+    "header_and_summary": (_header_and_summary, EXIT_CHECK_FAILED),
+}
+CHUNK_SIZES = pytest.mark.parametrize("size", [1, 2, 5, None], ids=["1", "2", "5", "default"])
+FINAL_NEWLINE = pytest.mark.parametrize(
+    "final_newline", [True, False], ids=["newline", "no_newline"]
+)
+
+
+class TestChunkedDecoding:
+    """`check` decodes a chunk of lines per json.loads call; each file must
+    get the exit code, header, trace and summary of per-line decoding."""
+
+    @staticmethod
+    def assert_agrees(tmp_path, monkeypatch, capsys, size, horizon, edit, code, final_newline):
+        if size is not None:
+            monkeypatch.setattr(cli, "_DECODE_CHUNK", size)
+        cfg = simulate_config(tmp_path, horizon=horizon)
+        path = tmp_path / "trace.jsonl"
+        assert main(["simulate", "-c", cfg, "-o", str(path)]) == EXIT_OK
+        lines = path.read_text().splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + ("\n" if final_newline else ""), newline="")
+        capsys.readouterr()
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parse_trace_file", per_line_parse)
+            assert main(["check", str(path)]) == code
+            reference = capsys.readouterr()
+        assert main(["check", str(path)]) == code
+        assert capsys.readouterr().out == reference.out
+        if code == EXIT_IO:
+            return
+        header, trace, summary = cli._parse_trace_file(str(path))
+        ref_header, ref_trace, ref_summary = per_line_parse(str(path))
+        assert header == ref_header and summary == ref_summary
+        assert len(trace) == len(ref_trace)
+        for c in experiments._COLUMNS:
+            a, b = getattr(trace, c.attr), getattr(ref_trace, c.attr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), c.attr
+
+    @CHUNK_SIZES
+    @pytest.mark.parametrize("name", sorted(DECODE_CORPUS))
+    @FINAL_NEWLINE
+    def test_agrees_with_per_line_decoding(
+        self, tmp_path, monkeypatch, capsys, name, size, final_newline
+    ):
+        edit, code = DECODE_CORPUS[name]
+        self.assert_agrees(tmp_path, monkeypatch, capsys, size, 40, edit, code, final_newline)
+
+    @CHUNK_SIZES
+    @FINAL_NEWLINE
+    def test_summary_alone_in_the_last_chunk(
+        self, tmp_path, monkeypatch, capsys, size, final_newline
+    ):
+        # the header is read on its own, so records that fill whole chunks
+        # leave the summary alone in the last one
+        size_used = size or cli._DECODE_CHUNK
+        horizon = size_used * max(1, 40 // size_used)
+        self.assert_agrees(
+            tmp_path, monkeypatch, capsys, size, horizon, lambda lines: None, EXIT_OK,
+            final_newline,
+        )
+
+    def test_a_bracket_opened_on_one_line_and_closed_on_the_next_is_refused(self):
+        # wrapped, "[1" and "2]" make one wrapper holding two values, so the
+        # values add up to the line count: only the count of "[" catches it
+        with pytest.raises(ValueError, match="line 7: "):
+            cli._decode_lines(["[1\n", "2]\n"], 7)
+
+    def test_split_and_merge_fools_an_unwrapped_join(self, tmp_path):
+        # why each line gets its own brackets: joined with "," alone, the
+        # split-and-merged lines decode to as many records as before
+        cfg = simulate_config(tmp_path, horizon=40)
+        path = tmp_path / "trace.jsonl"
+        assert main(["simulate", "-c", cfg, "-o", str(path)]) == EXIT_OK
+        lines = path.read_text().splitlines()[1:-1]
+        _split_and_merge(lines)
+        joined = json.loads("[" + ",".join(lines) + "]")
+        assert len(joined) == 40 and all(isinstance(rec, dict) for rec in joined)
+        with pytest.raises(ValueError, match="line 5: "):
+            cli._decode_lines([line + "\n" for line in lines], 2)
 
 
 class TestDiagnose:

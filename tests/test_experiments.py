@@ -362,6 +362,9 @@ class TestTraceSerialization:
         trace = uniform_run(horizon=50)
         rebuilt = Trace.from_records(trace.config, (rec for rec in trace.iter_records()))
         assert_traces_equal(trace, rebuilt)
+        # the columns grew past their first chunk and were cut in place
+        for col in TRACE_COLUMNS:
+            assert getattr(rebuilt, col).flags.owndata, col
         empty = Trace.from_records(trace.config, iter(()))
         assert len(empty) == 0 and empty.w.dtype == np.float64
 
@@ -450,6 +453,35 @@ class TestCheckClaims:
         assert res["pass"] is True
         assert res["claims"]["telescoping_accept"]["sum"] == 0.0
         assert res["claims"]["telescoping_reject"]["sum"] == 0.0
+
+    def test_band_equals_the_extremes_of_the_joined_columns(self):
+        # low/high come from per-column extremes; they must be the bits
+        # that min/max over the four threshold columns joined give
+        def joined(trace):
+            taus = np.concatenate([
+                trace.tau_r_before, trace.tau_a_before, trace.tau_r_after, trace.tau_a_after,
+            ])
+            return [taus.min(), taus.max()]
+
+        rng = np.random.default_rng(12)
+        traces = [uniform_run(horizon=500, tau_reject_init=-0.0)]
+        for seed in range(20):
+            lo, hi = sorted(rng.uniform(0.0, 1.0, 2))
+            traces.append(uniform_run(
+                horizon=int(rng.integers(1, 3000)), stream_seed=seed,
+                alpha=rng.uniform(0.01, 0.5), beta=rng.uniform(0.01, 0.5),
+                eta=rng.uniform(0.001, 0.3), q_accept=rng.uniform(0.05, 1.0),
+                q_reject=rng.uniform(0.05, 1.0), tau_reject_init=lo,
+                tau_accept_init=hi, seed=seed,
+            ))
+        with_nan = uniform_run(horizon=300)
+        with_nan.tau_r_after[120] = np.nan
+        traces.append(with_nan)
+        for trace in traces:
+            band = check_claims(trace)["claims"]["threshold_band"]
+            assert_bitwise_equal(np.array([band["low"], band["high"]]), np.array(joined(trace)))
+        assert np.signbit(check_claims(traces[0])["claims"]["threshold_band"]["low"])
+        assert np.isnan(check_claims(with_nan)["claims"]["threshold_band"]["high"])
 
     def test_detects_a_tampered_threshold(self):
         trace = uniform_run(horizon=200)

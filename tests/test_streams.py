@@ -1,6 +1,7 @@
 """Verification environments: exact task-stream semantics on degenerate
 score laws, frozen-seed statistical checks against closed-form moments."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -466,7 +467,7 @@ def test_task_stream_draws_are_pinned():
             h.update(g.tobytes())
         for baseline in (run_weak_only, run_strong_only):
             out = baseline(make_stream(spec))
-            h.update(json.dumps(out.to_dict(), sort_keys=True).encode())
+            h.update(json.dumps(dataclasses.asdict(out), sort_keys=True).encode())
     assert h.hexdigest() == (
         "d6977c3d360fa030bb750c393e238f5e65cc880ea0e90968097ed01091778473"
     )
