@@ -366,21 +366,24 @@ def _run_kernel(config: PolicyConfig, stream, horizon: Optional[int], echo: dict
 
 
 def _run_engine(config: PolicyConfig, stream, horizon: Optional[int], echo: dict) -> Trace:
-    """Drive the policy round by round, so that final decisions can feed
-    back into the stream. Only the sequential state is recorded per round:
-    the score, the latent label, the exploration flag and the thresholds
-    after the round. A horizon takes a prefix of the run; the task outcome
-    is set only when the stream ran out first."""
+    """Drive the policy's round core item by item, so that final decisions
+    can feed back into the stream. Only the sequential state is recorded per
+    round: the score, the latent label, the exploration flag and the
+    thresholds after the round. A horizon takes a prefix of the run; the
+    task outcome is set only when the stream ran out first."""
     policy = VerificationPolicy(config)
+    route, update = policy._route, policy._update
+    reactive = stream.reactive
     w, g_latent, explored, tau_r_after, tau_a_after = [], [], [], [], []
     outcome = None
     while horizon is None or len(w) < horizon:
         item = stream.next()
         if item is None:
-            outcome = stream.outcome() if stream.reactive else None
+            outcome = stream.outcome() if reactive else None
             break
-        rec = policy.decide(item.w)
-        if rec.action is Action.STRONG_VERIFY:
+        wt = float(item.w)
+        region, q, expl = route(wt)
+        if expl or region is Region.UNCERTAIN:
             g = stream.answer_strong_query()
             if g != item.g_latent:
                 # derive_columns reads g_observed off the latent labels
@@ -388,17 +391,18 @@ def _run_engine(config: PolicyConfig, stream, horizon: Optional[int], echo: dict
                     f"strong query answered {g!r} for an item whose latent label is "
                     f"{item.g_latent!r}"
                 )
-            policy.feedback(g)
+            if g not in (0, 1):
+                raise ValueError(f"strong label must be 0 or 1, got {g!r}")
+            after = update(wt, int(g), q)
             final = Action.ACCEPT if g == 1 else Action.REJECT
         else:
-            policy.advance()
-            final = rec.action
-        if stream.reactive:
+            after = update(wt, None, q)
+            final = Action.ACCEPT if region is Region.ACCEPT else Action.REJECT
+        if reactive:
             stream.react(final)
-        after = rec.thresholds_after
-        w.append(rec.w)
+        w.append(wt)
         g_latent.append(item.g_latent)
-        explored.append(rec.explored)
+        explored.append(expl)
         tau_r_after.append(after.reject)
         tau_a_after.append(after.accept)
     w = np.array(w, np.float64)
@@ -545,6 +549,13 @@ def check_claims(trace: Trace) -> dict:
         # np.min and np.max, unlike the builtins, let a NaN through
         lo = float(np.min([a.min() for a in taus]))
         hi = float(np.max([a.max() for a in taus]))
+        # min/max pick the sign of a zero by SIMD lane. A zero low is -0.0
+        # if any -0.0 is present, a zero high 0.0 if any 0.0 is; no value
+        # lies beyond a zero extreme, so the sign bit tells the zeros apart
+        if lo == 0.0:
+            lo = -0.0 if any(np.signbit(a).any() for a in taus) else 0.0
+        if hi == 0.0:
+            hi = -0.0 if all(np.signbit(a).all() for a in taus) else 0.0
     else:
         disp_accept = 0.0
         disp_reject = 0.0

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernel import step
+from ._kernel import _CHUNK, step
 
 __all__ = [
     "Action",
@@ -185,10 +185,16 @@ class VerificationPolicy:
 
     Each round is two calls: `decide(w)` returns the action, then either
     `feedback(g)` (after the strong verifier was consulted) or `advance()`
-    (for unilateral accept/reject) finalizes the round. Exploration consumes
-    exactly one random draw in decisive regions and none in the uncertain
-    region, so replaying the same scores against the same seed reproduces
-    the decision sequence bit for bit.
+    (for unilateral accept/reject) finalizes the round. All three run on one
+    round core, which the per-item engine also drives directly: `_route`
+    checks the score, classifies it and, in a decisive region only, takes
+    the next exploration uniform; `_update` applies `_kernel.step` on an
+    escalated round and advances the round index. The uniforms are drawn a
+    block of `_kernel._CHUNK` at a time and handed out one per decisive
+    round: the same values in the same order as one scalar draw per
+    decisive round, and as the kernel's pool `default_rng(seed).random(T)`.
+    So replaying the same scores against the same seed reproduces the
+    decision sequence bit for bit, on either path.
 
     Parameters
     ----------
@@ -199,6 +205,7 @@ class VerificationPolicy:
         self._config = config
         self._thresholds = Thresholds(config.tau_reject_init, config.tau_accept_init)
         self._rng = np.random.default_rng(config.seed)
+        self._uniforms = iter(())
         self._t = 1
         self._pending: Optional[DecisionRecord] = None
 
@@ -215,27 +222,44 @@ class VerificationPolicy:
         """Index of the next (or currently pending) round, starting at 1."""
         return self._t
 
+    def _route(self, w: float) -> tuple[Region, float, bool]:
+        """Region of score w under the current thresholds, its escalation
+        probability q, and whether a decisive round explores."""
+        if not 0.0 <= w <= 1.0:  # also false for NaN
+            raise ValueError(f"weak score must be in [0, 1], got {w}")
+        region = classify(w, self._thresholds)
+        if region is Region.UNCERTAIN:
+            return region, 1.0, False
+        q = self._config.q_accept if region is Region.ACCEPT else self._config.q_reject
+        u = next(self._uniforms, None)
+        if u is None:
+            self._uniforms = iter(self._rng.random(_CHUNK).tolist())
+            u = next(self._uniforms)
+        return region, q, u < q
+
+    def _update(self, w: float, g: Optional[int], q: float) -> Thresholds:
+        """Close the round of score w and return the thresholds after it.
+        An escalated round (strong label g, escalation probability q) moves
+        them; a unilateral one (g None) leaves them."""
+        if g is not None:
+            th = self._thresholds
+            cfg = self._config
+            self._thresholds = Thresholds(
+                *step(th.reject, th.accept, w, g, q, cfg.alpha, cfg.beta, cfg.eta)
+            )
+        self._t += 1
+        return self._thresholds
+
     def decide(self, w: float) -> DecisionRecord:
         if self._pending is not None:
             raise ProtocolError("previous round not finalized; call feedback or advance")
         w = float(w)
-        if not (math.isfinite(w) and 0.0 <= w <= 1.0):
-            raise ValueError(f"weak score must be in [0, 1], got {w}")
-        cfg = self._config
         th = self._thresholds
-        region = classify(w, th)
-        if region is Region.ACCEPT:
-            q = cfg.q_accept
-            explored = self._rng.random() < q
-            action = Action.STRONG_VERIFY if explored else Action.ACCEPT
-        elif region is Region.REJECT:
-            q = cfg.q_reject
-            explored = self._rng.random() < q
-            action = Action.STRONG_VERIFY if explored else Action.REJECT
-        else:
-            q = 1.0
-            explored = False
+        region, q, explored = self._route(w)
+        if explored or region is Region.UNCERTAIN:
             action = Action.STRONG_VERIFY
+        else:
+            action = Action.ACCEPT if region is Region.ACCEPT else Action.REJECT
         rec = DecisionRecord(
             t=self._t,
             w=w,
@@ -258,16 +282,9 @@ class VerificationPolicy:
         if g not in (0, 1):
             raise ValueError(f"strong label must be 0 or 1, got {g!r}")
         g = int(g)
-        cfg = self._config
-        th = self._thresholds
-        new_r, new_a = step(
-            th.reject, th.accept, rec.w, g, rec.q, cfg.alpha, cfg.beta, cfg.eta
-        )
-        new = Thresholds(new_r, new_a)
+        new = self._update(rec.w, g, rec.q)
         rec.g_observed = g
         rec.thresholds_after = new
-        self._thresholds = new
-        self._t += 1
         self._pending = None
         return new
 
@@ -278,6 +295,5 @@ class VerificationPolicy:
             raise ProtocolError("no pending round; call decide first")
         if rec.action is Action.STRONG_VERIFY:
             raise ProtocolError("pending round escalated; call feedback instead")
-        rec.thresholds_after = rec.thresholds_before
-        self._t += 1
+        rec.thresholds_after = self._update(rec.w, None, rec.q)
         self._pending = None

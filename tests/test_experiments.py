@@ -228,6 +228,20 @@ class TestEngineKernelAgreement:
         assert_matches_reference(trace, reference_engine(cfg, make_stream(spec)))
         assert isinstance(trace.outcome, TaskOutcome)
 
+    def test_engine_matches_the_reference_across_uniform_blocks(self):
+        # the policy draws its exploration uniforms a block of _CHUNK at a
+        # time; this run's decisive rounds cross two block edges
+        spec = {
+            "kind": "stepwise", "episodes": 1_800, "steps": 4, "step_correct_prob": 0.8,
+            "correct_scores": BetaDist(9.0, 1.0).to_dict(),
+            "incorrect_scores": BetaDist(3.3, 6.7).to_dict(),
+            "retries": 2, "seed": 6,
+        }
+        cfg = config(seed=11, q_accept=0.3, q_reject=0.2)
+        trace = run_one(cfg, make_stream(spec))
+        assert (trace.region != 2).sum() > 2 * _kernel._CHUNK
+        assert_matches_reference(trace, reference_engine(cfg, make_stream(spec)))
+
     def test_a_wrong_strong_label_is_a_protocol_error(self):
         class Contradicting(VerifierStream):
             """Uncertain scores, always escalated, answered with the label
@@ -241,6 +255,39 @@ class TestEngineKernelAgreement:
 
         with pytest.raises(ProtocolError):
             run_one(config(), Contradicting(), horizon=5, force_engine=True, echo={})
+
+    class Scripted(VerifierStream):
+        """The given items in order; a strong query answers with the
+        pending item's latent label."""
+
+        def __init__(self, items, reactive):
+            self._items = iter(items)
+            self._item = None
+            self.reactive = reactive
+
+        def next(self):
+            self._item = next(self._items, None)
+            return self._item
+
+        def answer_strong_query(self):
+            return self._item.g_latent
+
+    @pytest.mark.parametrize("reactive", [False, True])
+    @pytest.mark.parametrize("w", [float("nan"), -0.1, 1.5])
+    def test_the_engine_refuses_a_bad_score(self, w, reactive):
+        # after an uncertain, an accepted and a rejected round
+        items = [StreamItem(0.5, 1), StreamItem(0.95, 1), StreamItem(0.05, 0), StreamItem(w, 1)]
+        stream = self.Scripted(items, reactive)
+        with pytest.raises(ValueError, match="weak score"):
+            run_one(config(q_accept=1e-9, q_reject=1e-9), stream, force_engine=True, echo={})
+
+    @pytest.mark.parametrize("reactive", [False, True])
+    @pytest.mark.parametrize("w", [0.5, 0.95, 0.05])
+    def test_the_engine_refuses_a_strong_label_outside_0_1(self, w, reactive):
+        # an uncertain round, or a decisive one that always explores
+        stream = self.Scripted([StreamItem(0.5, 1), StreamItem(w, 2)], reactive)
+        with pytest.raises(ValueError, match="strong label"):
+            run_one(config(q_accept=1.0, q_reject=1.0), stream, force_engine=True, echo={})
 
     def test_array_containers_equal_list_containers(self, monkeypatch):
         # without numba, njit is the identity, so this runs the array branch
@@ -482,6 +529,30 @@ class TestCheckClaims:
             assert_bitwise_equal(np.array([band["low"], band["high"]]), np.array(joined(trace)))
         assert np.signbit(check_claims(traces[0])["claims"]["threshold_band"]["low"])
         assert np.isnan(check_claims(with_nan)["claims"]["threshold_band"]["high"])
+
+    def test_a_zero_extreme_has_a_canonical_sign(self):
+        # min/max alone pick the sign of a zero present with both signs by
+        # the SIMD lane it sits in, so the band must not depend on where the
+        # zeros are: low is -0.0 if any -0.0 is present, high 0.0 if any 0.0
+        rng = np.random.default_rng(9)
+        names = ("tau_r_before", "tau_a_before", "tau_r_after", "tau_a_after")
+        bases = {T: uniform_run(horizon=T) for T in (1, 2, 3, 7, 8, 9, 16, 17, 33, 64, 257)}
+        for i in range(1_200):
+            T = list(bases)[i % len(bases)]
+            side = "low" if i % 2 else "high"
+            cols = rng.uniform(0.0, 1.0, (4, T)) * (1.0 if side == "low" else -1.0)
+            flat = cols.reshape(-1)
+            spots = rng.choice(flat.size, size=min(flat.size, int(rng.integers(2, 9))), replace=False)
+            signs = rng.permutation([-0.0, 0.0, *rng.choice([-0.0, 0.0], spots.size - 2)])
+            if i % 5 == 0:  # now and then one sign only
+                signs[:] = signs[0]
+            flat[spots] = signs
+            trace = dataclasses.replace(bases[T], **dict(zip(names, cols)))
+            band = check_claims(trace)["claims"]["threshold_band"]
+            negative = bool(np.signbit(signs).any())
+            positive = not bool(np.signbit(signs).all())
+            want = (-0.0 if negative else 0.0) if side == "low" else (0.0 if positive else -0.0)
+            assert_bitwise_equal(np.array(band[side]), np.array(want), (T, spots, signs))
 
     def test_detects_a_tampered_threshold(self):
         trace = uniform_run(horizon=200)

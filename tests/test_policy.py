@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selverify import _kernel
 from selverify import (
     Action,
     PolicyConfig,
@@ -162,6 +163,56 @@ class TestExplorationDraws:
             else:
                 policy.advance()
         assert got == expected
+
+    def test_block_draws_match_scalar_draws_across_block_edges(self):
+        # uniforms come a block of _CHUNK at a time; over three blocks of
+        # decisive rounds, with uncertain rounds in between, the flags must
+        # be the scalar draws' and the run the kernel's, bit for bit
+        q_accept, q_reject = 0.3, 0.2
+        cfg = PolicyConfig(
+            alpha=0.15, beta=0.15, eta=0.05, q_accept=q_accept, q_reject=q_reject,
+            tau_reject_init=0.1, tau_accept_init=0.9, seed=7,
+        )
+        rng = np.random.default_rng(8)
+        T = 20_000
+        w = rng.random(T)
+        g = (rng.random(T) < w).astype(np.int64)
+        policy = VerificationPolicy(cfg)
+        recs = []
+        for wt, gt in zip(w.tolist(), g.tolist()):
+            rec = policy.decide(wt)
+            if rec.action is Action.STRONG_VERIFY:
+                policy.feedback(gt)
+            else:
+                policy.advance()
+            recs.append(rec)
+        decisive = [r for r in recs if r.region is not Region.UNCERTAIN]
+        assert len(decisive) > 3 * _kernel._CHUNK
+        assert len(decisive) < T  # uncertain rounds mixed in
+        q = np.array([q_accept if r.region is Region.ACCEPT else q_reject for r in decisive])
+        expected = np.random.default_rng(cfg.seed).random(len(decisive)) < q
+        assert [r.explored for r in decisive] == expected.tolist()
+
+        *cols, used = _kernel.run_rounds(
+            w, g, np.random.default_rng(cfg.seed).random(T), cfg.alpha, cfg.beta, cfg.eta,
+            q_accept, q_reject, cfg.tau_reject_init, cfg.tau_accept_init,
+        )
+        region, action, q_col, explored, _, tr_b, ta_b, tr_a, ta_a = cols
+        assert used == len(decisive)
+        codes = {"accept": 0, "reject": 1, "uncertain": 2, "strong_verify": 2}
+        got = {
+            "region": np.array([codes[r.region.value] for r in recs]),
+            "action": np.array([codes[r.action.value] for r in recs]),
+            "q": np.array([r.q for r in recs]),
+            "explored": np.array([r.explored for r in recs]),
+            "tau_r_before": np.array([r.thresholds_before.reject for r in recs]),
+            "tau_a_before": np.array([r.thresholds_before.accept for r in recs]),
+            "tau_r_after": np.array([r.thresholds_after.reject for r in recs]),
+            "tau_a_after": np.array([r.thresholds_after.accept for r in recs]),
+        }
+        want = dict(zip(got, (region, action, q_col, explored, tr_b, ta_b, tr_a, ta_a)))
+        for name in got:
+            assert got[name].astype(want[name].dtype).tobytes() == want[name].tobytes(), name
 
     def test_exploration_frequency_matches_q(self):
         # eta tiny so thresholds stay put; empirical rate within 4 SE of q
