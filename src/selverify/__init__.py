@@ -6,140 +6,24 @@ strong feedback so long-run error rates track chosen targets on arbitrary
 streams. The package also ships the population-optimal policy theory, a
 finite-time slack bound, synthetic verification environments, an
 experiment runner, and a CLI (`selverify`).
+
+The public names are those of the six modules' `__all__` lists, plus
+`__version__` and `kernel_backend`.
 """
 
 __version__ = "0.1.0"
 
+from . import distributions, experiments, metrics, policy, population, streams
 from ._kernel import kernel_backend
-from .distributions import (
-    BetaDist,
-    GridDist,
-    MixtureDist,
-    PointMass,
-    ScoreDist,
-    UniformDist,
-    dist_from_dict,
-)
-from .metrics import ErrorLedger, delta_bound
-from .policy import (
-    Action,
-    DecisionRecord,
-    PolicyConfig,
-    ProtocolError,
-    Region,
-    Thresholds,
-    VerificationPolicy,
-    classify,
-    final_decision,
-)
-from .population import (
-    OptimalPolicy,
-    PolicyKind,
-    PopulationSpec,
-    brute_force_value,
-    discretize,
-    effective_weights,
-    optimal_policy,
-    pointwise_cost,
-    value,
-    value_three_region,
-)
-from .streams import (
-    BestOfNStream,
-    CalibratedStream,
-    DriftStream,
-    MiscalibratedStream,
-    StepwiseStream,
-    StreamItem,
-    TaskOutcome,
-    VerifierStream,
-    apply_link,
-    make_stream,
-    preset_ambiguous,
-    preset_calibrated,
-    preset_drift,
-    preset_math_like,
-    run_strong_only,
-    run_weak_only,
-    sample_items,
-    score_report,
-)
-from .experiments import (
-    ParetoPoint,
-    RunSpec,
-    Trace,
-    check_claims,
-    derive_seed,
-    error_curves,
-    recompute_ledger,
-    run,
-    run_one,
-    run_rep,
-    sweep,
-    sweep_point,
-    verify_bound,
-)
+from .distributions import *  # noqa: F401,F403
+from .experiments import *  # noqa: F401,F403
+from .metrics import *  # noqa: F401,F403
+from .policy import *  # noqa: F401,F403
+from .population import *  # noqa: F401,F403
+from .streams import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    "Action",
-    "BestOfNStream",
-    "BetaDist",
-    "CalibratedStream",
-    "DecisionRecord",
-    "DriftStream",
-    "ErrorLedger",
-    "GridDist",
-    "MiscalibratedStream",
-    "MixtureDist",
-    "OptimalPolicy",
-    "ParetoPoint",
-    "PointMass",
-    "PolicyConfig",
-    "PolicyKind",
-    "PopulationSpec",
-    "ProtocolError",
-    "Region",
-    "RunSpec",
-    "ScoreDist",
-    "StepwiseStream",
-    "StreamItem",
-    "TaskOutcome",
-    "Thresholds",
-    "Trace",
-    "UniformDist",
-    "VerificationPolicy",
-    "VerifierStream",
-    "apply_link",
-    "brute_force_value",
-    "check_claims",
-    "classify",
-    "delta_bound",
-    "derive_seed",
-    "discretize",
-    "dist_from_dict",
-    "effective_weights",
-    "error_curves",
-    "final_decision",
-    "kernel_backend",
-    "make_stream",
-    "optimal_policy",
-    "pointwise_cost",
-    "preset_ambiguous",
-    "preset_calibrated",
-    "preset_drift",
-    "preset_math_like",
-    "recompute_ledger",
-    "run",
-    "run_one",
-    "run_rep",
-    "run_strong_only",
-    "run_weak_only",
-    "sample_items",
-    "score_report",
-    "sweep",
-    "sweep_point",
-    "value",
-    "value_three_region",
-    "verify_bound",
+__all__ = ["__version__", "kernel_backend"] + [
+    name
+    for module in (distributions, experiments, metrics, policy, population, streams)
+    for name in module.__all__
 ]

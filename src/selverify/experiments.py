@@ -1,9 +1,10 @@
 """Run orchestration: traces, error bounds, claim checks, target sweeps.
 
 A run drives one policy against one stream and records every round. For
-non-reactive streams the loop runs on pre-drawn arrays through the compiled
-kernel, which reproduces the engine bit for bit; reactive streams go
-through the engine so final decisions can feed back. Either path records
+non-reactive streams that draw arrays the loop runs on pre-drawn arrays
+through the compiled kernel, which reproduces the engine bit for bit;
+reactive streams go through the engine so final decisions can feed back,
+and so does any stream without `take`. Either path records
 only the sequential state of each round (score, latent label, exploration
 flag, thresholds after the round), and `_kernel.derive_columns` derives
 the other trace columns from it for both. Sweeps evaluate a
@@ -18,6 +19,7 @@ import itertools
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
@@ -43,6 +45,7 @@ __all__ = [
     "derive_seed",
     "run_one",
     "run",
+    "run_rep",
     "recompute_ledger",
     "error_curves",
     "verify_bound",
@@ -181,25 +184,6 @@ class RunSpec:
         if self.seed_base < 0:
             raise ValueError(f"seed_base must be nonnegative, got {self.seed_base}")
 
-    def to_dict(self) -> dict:
-        return {
-            "policy": self.policy.to_dict(),
-            "stream": self.stream,
-            "horizon": self.horizon,
-            "repetitions": self.repetitions,
-            "seed_base": self.seed_base,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "RunSpec":
-        return RunSpec(
-            policy=PolicyConfig.from_dict(d["policy"]),
-            stream=d["stream"],
-            horizon=d.get("horizon"),
-            repetitions=d.get("repetitions", 1),
-            seed_base=d.get("seed_base", 0),
-        )
-
 
 @dataclass
 class Trace:
@@ -332,21 +316,8 @@ def _trace(echo: dict, w, g_latent, cols, outcome=None) -> Trace:
 
 
 def _run_kernel(config: PolicyConfig, stream, horizon: Optional[int], echo: dict) -> Trace:
-    if horizon is None:
-        blocks = []
-        while True:
-            w, g = stream.take(1 << 16)
-            if w.size == 0:
-                break
-            blocks.append((w, g))
-        if blocks:
-            w = np.concatenate([b[0] for b in blocks])
-            g = np.concatenate([b[1] for b in blocks])
-        else:
-            w = np.empty(0)
-            g = np.empty(0, dtype=np.int64)
-    else:
-        w, g = stream.take(horizon)
+    # without a horizon a finite stream is read to its end
+    w, g = stream.take(sys.maxsize if horizon is None else horizon)
     w = np.asarray(w, np.float64)
     g = np.asarray(g, np.int64)
     u = np.random.default_rng(config.seed).random(w.size)
@@ -430,28 +401,29 @@ def run_one(
 ) -> Trace:
     """Drive one policy to completion against one stream.
 
-    Non-reactive streams run through the array kernel unless force_engine
-    is set; the two paths produce identical traces.
+    A non-reactive stream that draws arrays (`take`, as the built-in ones
+    do) runs through the array kernel. Any other stream, and any stream
+    when force_engine is set, runs item by item through the engine; the
+    two paths produce identical traces. So a custom stream needs only
+    `next`, `answer_strong_query` and `spec_dict`, plus `react` and
+    `outcome` if it is reactive.
     """
     if echo is None:
         echo = {"policy": config.to_dict(), "stream": stream.spec_dict(), "horizon": horizon}
     if horizon is None and isinstance(stream, (CalibratedStream, MiscalibratedStream)):
         raise ValueError("this stream never exhausts; a horizon is required")
-    if stream.reactive or force_engine:
+    if stream.reactive or force_engine or not hasattr(stream, "take"):
         return _run_engine(config, stream, horizon, echo)
     return _run_kernel(config, stream, horizon, echo)
 
 
-def run(spec: RunSpec, force_engine: bool = False) -> list[Trace]:
+def run(spec: RunSpec) -> list[Trace]:
     """All repetitions of a RunSpec, one trace each.
 
     Per-repetition policy and stream seeds derive from (seed_base, rep,
     channel), so any subset of repetitions can be recomputed independently.
     """
-    traces = []
-    for rep in range(spec.repetitions):
-        traces.append(run_rep(spec, rep, force_engine=force_engine))
-    return traces
+    return [run_rep(spec, rep) for rep in range(spec.repetitions)]
 
 
 def run_rep(spec: RunSpec, rep: int, force_engine: bool = False) -> Trace:
@@ -706,16 +678,9 @@ def sweep(
     targets: list,
     repetitions: int,
     seed_base: int,
-    include_anchors: bool = True,
 ) -> list[ParetoPoint]:
     """All target rows in order, then the oracle and weak-only anchors."""
     if not targets:
         raise ValueError("sweep needs at least one (alpha, beta) target")
-    rows = [
-        sweep_point(policy_template, stream_spec, (float(a), float(b)), repetitions, seed_base)
-        for a, b in targets
-    ]
-    if include_anchors:
-        rows.append(sweep_point(policy_template, stream_spec, "oracle", repetitions, seed_base))
-        rows.append(sweep_point(policy_template, stream_spec, "weak_only", repetitions, seed_base))
-    return rows
+    jobs = [(float(a), float(b)) for a, b in targets] + ["oracle", "weak_only"]
+    return [sweep_point(policy_template, stream_spec, job, repetitions, seed_base) for job in jobs]

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import GridDist, ScoreDist, dist_from_dict
+from .distributions import GridDist, ScoreDist
 from .policy import Action
 
 __all__ = [
@@ -115,22 +115,6 @@ class PopulationSpec:
                     f"calibrated spec requires alpha1 = E[W]; "
                     f"alpha1={self.alpha1} but E[W]={m!r}"
                 )
-
-    def to_dict(self) -> dict:
-        return {
-            "score_dist": self.score_dist.to_dict(),
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "alpha0": self.alpha0,
-            "alpha1": self.alpha1,
-            "calibrated": self.calibrated,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "PopulationSpec":
-        d = dict(d)
-        d["score_dist"] = dist_from_dict(d["score_dist"])
-        return PopulationSpec(**d)
 
 
 def effective_weights(spec: PopulationSpec) -> tuple[float, float]:

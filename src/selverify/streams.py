@@ -8,8 +8,11 @@ finalize. Non-reactive streams (calibrated, miscalibrated, drifting) ignore
 `react`; the best-of-n and stepwise streams use it to drive per-problem and
 per-episode bookkeeping. Those two share one base, `_TaskStream`, which
 holds their candidate draw, counters, outcome and weak-only baseline. An
-external verifier can stand in for any of these by implementing the same
-four methods.
+external verifier can stand in for any of these by subclassing
+`VerifierStream` with `next`, `answer_strong_query` and `spec_dict`, plus
+`react` and `outcome` if it is reactive. `run_one` sends a non-reactive
+stream to the array kernel only if it also draws arrays (`take`, as the
+built-in ones do), and runs any other stream item by item.
 
 Environment randomness is always a separate generator from policy
 randomness, seeded from the stream spec alone, so item sequences replay

@@ -17,6 +17,7 @@ from selverify import (
     PointMass,
     PolicyConfig,
     ProtocolError,
+    Region,
     RunSpec,
     StreamItem,
     TaskOutcome,
@@ -85,14 +86,20 @@ def reference_engine(cfg: PolicyConfig, stream, horizon=None) -> dict:
     """Every trace column of a run, each recorded round by round from the
     policy's own records. The engine records only the sequential state and
     derives the rest with the kernel's code; this loop checks that
-    derivation independently."""
+    derivation independently. It also checks the policy's exploration
+    draw against its own pool from the policy seed, one uniform per
+    decisive round."""
     policy = VerificationPolicy(cfg)
+    pool = np.random.default_rng(cfg.seed)
     cols = {name: [] for name in TRACE_COLUMNS}
     while horizon is None or len(cols["t"]) < horizon:
         item = stream.next()
         if item is None:
             break
         rec = policy.decide(item.w)
+        if rec.region is not Region.UNCERTAIN:
+            u = pool.random()
+            assert rec.explored == (u < rec.q), rec
         if rec.action is Action.STRONG_VERIFY:
             g = stream.answer_strong_query()
             policy.feedback(g)
@@ -242,6 +249,16 @@ class TestEngineKernelAgreement:
         assert (trace.region != 2).sum() > 2 * _kernel._CHUNK
         assert_matches_reference(trace, reference_engine(cfg, make_stream(spec)))
 
+    def test_a_finite_stream_is_read_to_its_end_in_one_take(self, monkeypatch):
+        # longer than one 64k block, and not a multiple of the 4,096 chunk
+        spec = preset_drift(total_length=70_001, seed=4)
+        cfg = config(seed=3)
+        monkeypatch.setattr(experiments, "_run_engine", None)
+        whole = run_one(cfg, make_stream(spec), horizon=None)
+        prefix = run_one(cfg, make_stream(spec), horizon=70_001)
+        assert len(whole) == 70_001
+        assert_traces_equal(whole, prefix)
+
     def test_a_wrong_strong_label_is_a_protocol_error(self):
         class Contradicting(VerifierStream):
             """Uncertain scores, always escalated, answered with the label
@@ -271,6 +288,24 @@ class TestEngineKernelAgreement:
 
         def answer_strong_query(self):
             return self._item.g_latent
+
+        def spec_dict(self):
+            return {"kind": "scripted"}
+
+    @pytest.mark.parametrize("horizon", [3_000, None])
+    def test_a_stream_with_only_the_documented_methods_runs(self, horizon):
+        # non-reactive and without `take`, so it takes the engine path
+        rng = np.random.default_rng(2)
+        w = rng.random(5_000)
+        g = (rng.random(5_000) < w).astype(np.int64)
+        items = [StreamItem(*p) for p in zip(w.tolist(), g.tolist())]
+        cfg = config(seed=9)
+        trace = run_one(cfg, self.Scripted(items, False), horizon=horizon)
+        ref = run_one(cfg, self.Scripted(items, False), horizon=horizon, force_engine=True)
+        assert len(trace) == (5_000 if horizon is None else horizon)
+        assert trace.config["stream"] == {"kind": "scripted"}
+        assert_traces_equal(trace, ref)
+        assert_matches_reference(trace, reference_engine(cfg, self.Scripted(items, False), horizon))
 
     @pytest.mark.parametrize("reactive", [False, True])
     @pytest.mark.parametrize("w", [float("nan"), -0.1, 1.5])
@@ -360,18 +395,13 @@ class TestSeeds:
         with pytest.raises(ValueError):
             run_rep(spec, -1)
 
-    def test_runspec_validation_and_round_trip(self):
+    def test_runspec_validation(self):
         with pytest.raises(ValueError):
             RunSpec(policy=config(), stream={}, horizon=0)
         with pytest.raises(ValueError):
             RunSpec(policy=config(), stream={}, repetitions=0)
         with pytest.raises(ValueError):
             RunSpec(policy=config(), stream={}, seed_base=-1)
-        spec = RunSpec(
-            policy=config(), stream=preset_drift(100), horizon=50,
-            repetitions=4, seed_base=9,
-        )
-        assert RunSpec.from_dict(spec.to_dict()) == spec
 
 
 class TestTraceSerialization:

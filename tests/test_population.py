@@ -235,11 +235,6 @@ class TestSpecValidation:
             PopulationSpec(score_dist=UniformDist(), lambda1=1.0, lambda2=1.0,
                            alpha0=0.4, alpha1=0.6, calibrated=True)
 
-    def test_dict_round_trip(self):
-        spec = PopulationSpec(score_dist=BetaDist(2.0, 5.0), lambda1=1.5,
-                              lambda2=0.5, alpha0=0.3, alpha1=0.7)
-        assert PopulationSpec.from_dict(spec.to_dict()) == spec
-
 
 @settings(max_examples=60, deadline=None)
 @given(
