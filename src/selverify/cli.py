@@ -35,7 +35,12 @@ from .distributions import dist_from_dict
 from .experiments import (
     ParetoPoint,
     RunSpec,
-    Trace,
+    _Certificate,
+    _fold_records,
+    _kernel_chunks,
+    _kernel_path,
+    _rep_setup,
+    _write_rows,
     check_claims,
     run_rep,
     sweep,
@@ -164,18 +169,25 @@ def cmd_simulate(args) -> int:
         repetitions=rep + 1,
         seed_base=int(cfg.get("seed_base", 0)),
     )
-    trace = run_rep(spec, rep)
+    config, stream, echo = _rep_setup(spec, rep)
+    if _kernel_path(stream, spec.horizon):
+        chunks = _kernel_chunks(config, stream, spec.horizon)
+    else:
+        # task runs are short: they run in memory and are written as one chunk
+        chunks = [vars(run_rep(spec, rep))]
     print(f"kernel backend: {kernel_backend()}", file=sys.stderr)
-    echo = dict(trace.config)
     echo["delta"] = delta
-    bounds = verify_bound(trace, delta)
+    cert = _Certificate(echo, ledger_only=True)
     out = _resolve_output(args.output, "trace.jsonl")
     with _atomic_write(out) as fh:
         fh.write(_dumps({"config": echo, "version": __version__}) + "\n")
-        trace.write_records(fh)
-        fh.write(_dumps({"metrics": _summary_metrics(trace.ledger), "bounds": bounds}) + "\n")
-    m = _summary_metrics(trace.ledger)
-    print(f"wrote {len(trace)} rounds to {out}")
+        for cols in chunks:
+            _write_rows(fh, cols)
+            cert.add(cols)
+        bounds = verify_bound(cert, delta)
+        m = _summary_metrics(cert.ledger)
+        fh.write(_dumps({"metrics": m, "bounds": bounds}) + "\n")
+    print(f"wrote {cert.ledger.total} rounds to {out}")
     print(
         f"err_type1={m['err_type1']:.6f} err_type2={m['err_type2']:.6f} "
         f"sv_rate={m['sv_rate']:.6f}"
@@ -356,11 +368,12 @@ def _check_header(header) -> None:
         raise ValueError(f"header delta must be a number in (0, 1), got {delta!r}")
 
 
-def _parse_trace_file(path: str) -> tuple[dict, Trace, Optional[dict]]:
-    """Header, trace and summary (or None) of a `simulate` file, decoded a
-    chunk of lines at a time. The header is checked before any record is
-    decoded. The summary is a `metrics` object on the last non-blank line;
-    any other line after the header must be a round record."""
+def _parse_trace_file(path: str) -> tuple[dict, _Certificate, Optional[dict]]:
+    """Header, certificate and summary (or None) of a `simulate` file,
+    decoded a chunk of lines at a time and folded as it is read. The header
+    is checked before any record is decoded. The summary is a `metrics`
+    object on the last non-blank line; any other line after the header
+    must be a round record."""
     summary = None
     with open(path, "r", encoding="utf-8") as fh:
         lineno, header = 0, None
@@ -389,13 +402,13 @@ def _parse_trace_file(path: str) -> tuple[dict, Trace, Optional[dict]]:
             yield held
 
         records = itertools.chain.from_iterable(record_chunks())
-        trace = Trace.from_records(header["config"], records)
-    return header, trace, summary
+        cert = _fold_records(header["config"], records)
+    return header, cert, summary
 
 
 def cmd_check(args) -> int:
     try:
-        header, trace, summary = _parse_trace_file(args.trace)
+        header, cert, summary = _parse_trace_file(args.trace)
     except OSError as exc:
         print(f"error: cannot read trace: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -406,7 +419,7 @@ def cmd_check(args) -> int:
     if delta is None:
         delta = float(header["config"].get("delta", 0.05))
     failures = 0
-    bounds = verify_bound(trace, delta)
+    bounds = verify_bound(cert, delta)
     labels = {"type1": "N₀", "type2": "N₁"}
     for side in ("type1", "type2"):
         s = bounds["sides"][side]
@@ -419,14 +432,14 @@ def cmd_check(args) -> int:
                 f"bound {side}: err={s['err']:.6f} <= {s['bound']:.6f} "
                 f"(margin {s['margin']:.6f}) {status}"
             )
-    claims = check_claims(trace)
+    claims = check_claims(cert)
     for name, claim in claims["claims"].items():
         status = "PASS" if claim["pass"] else "FAIL"
         failures += 0 if claim["pass"] else 1
         detail = {k: v for k, v in claim.items() if k != "pass"}
         print(f"claim {name}: {detail} {status}")
     if summary is not None:
-        recomputed = _summary_metrics(trace.ledger)
+        recomputed = _summary_metrics(cert.ledger)
         same = all(
             summary["metrics"].get(k) == v for k, v in recomputed.items()
         )

@@ -7,9 +7,11 @@ reactive streams go through the engine so final decisions can feed back,
 and so does any stream without `take`. Either path records
 only the sequential state of each round (score, latent label, exploration
 flag, thresholds after the round), and `_kernel.derive_columns` derives
-the other trace columns from it for both. Sweeps evaluate a
-grid of error targets plus the two baseline anchors, with stream seeds
-shared across targets and anchors so comparisons are paired.
+the other trace columns from it for both. The ledger and the claim
+checks are one fold over column chunks (`_Certificate`), so `simulate`
+can run the kernel and `check` can read a file a chunk at a time. Sweeps
+evaluate a grid of error targets plus the two baseline anchors, with
+stream seeds shared across targets and anchors so comparisons are paired.
 """
 
 from __future__ import annotations
@@ -148,6 +150,8 @@ _KEYS = tuple(c.key for c in _COLUMNS)
 # its direction on a 100k-round trace.
 _CHUNK_OUT = 1 << 11
 _CHUNK_IN = 1 << 9
+# Rows per fold of the records a certificate is made from.
+_FOLD_ROWS = 1 << 12
 
 # Channel tags for per-repetition seed derivation. Stream seeds do not
 # depend on the policy settings, so runs at different targets (and the
@@ -226,26 +230,14 @@ class Trace:
         Each line is `json.dumps(rec, sort_keys=True, separators=(",", ":"))`
         of the matching `iter_records` record, byte for byte.
         """
-        # "{" and "}" ride on the first and last keys, which are never optional
-        cols = sorted(_COLUMNS, key=lambda c: c.key)
-        heads = [("," if i else "{") + json.dumps(c.key) + ":" for i, c in enumerate(cols)]
-        tails = [""] * (len(cols) - 1) + ["}"]
-        for lo in range(0, len(self), _CHUNK_OUT):
-            cells = [
-                c.cells(getattr(self, c.attr)[lo:lo + _CHUNK_OUT], head, tail)
-                for c, head, tail in zip(cols, heads, tails)
-            ]
-            fh.write("\n".join(map("".join, zip(*cells))) + "\n")
+        _write_rows(fh, vars(self))
 
     @staticmethod
     def from_records(config: dict, records: Iterable[dict]) -> "Trace":
         """Rebuild a trace from round records, taken a chunk at a time into
         column arrays that double in size when full and are cut to length
         in place at the end."""
-        cols = {c.attr: np.empty(0, c.dtype) for c in _COLUMNS}
-        required = [c for c in _COLUMNS if not c.optional]
-        optional = [c for c in _COLUMNS if c.optional]
-        get = operator.itemgetter(*(c.key for c in required))
+        cols = _empty_columns(0)
         n = 0
         records = iter(records)
         while chunk := list(itertools.islice(records, _CHUNK_IN)):
@@ -256,11 +248,7 @@ class Trace:
                     # unlike ndarray.resize, which zero-fills, this leaves rows n: untouched
                     cols[attr] = np.empty(size, a.dtype)
                     cols[attr][:n] = a[:n]
-            for c, vals in zip(required, zip(*map(get, chunk))):
-                cols[c.attr][n:end] = c.parse(vals)
-            for c in optional:
-                vals = [rec[c.key] if c.key in rec else -1 for rec in chunk]
-                cols[c.attr][n:end] = c.parse(vals)
+            _fill(cols, n, chunk)
             n = end
             del chunk  # let its records go before the next chunk is decoded
         for a in cols.values():
@@ -270,49 +258,255 @@ class Trace:
         return trace
 
 
-def _ledger_from_arrays(w, action, g_latent, tau_r_before, tau_a_before) -> ErrorLedger:
-    g0 = g_latent == 0
-    g1 = ~g0
-    return ErrorLedger(
-        n0=int(g0.sum()),
-        n1=int(g1.sum()),
-        type1_policy=int(((action == ACTION_ACCEPT) & g0).sum()),
-        type2_policy=int(((action == ACTION_REJECT) & g1).sum()),
-        type1_threshold=int(((w > tau_a_before) & g0).sum()),
-        type2_threshold=int(((w < tau_r_before) & g1).sum()),
-        sv_count=int((action == ACTION_STRONG_VERIFY).sum()),
-        total=int(w.size),
-    )
+# The columns in the key order of the JSON lines, with the text that joins
+# each value to the one before it; "{" and "}" ride on the first and last
+# keys, which are never optional.
+_SORTED = sorted(_COLUMNS, key=lambda c: c.key)
+_HEADS = [("," if i else "{") + json.dumps(c.key) + ":" for i, c in enumerate(_SORTED)]
+_TAILS = [""] * (len(_SORTED) - 1) + ["}"]
+_REQUIRED = [c for c in _COLUMNS if not c.optional]
+_OPTIONAL = [c for c in _COLUMNS if c.optional]
+_GET_REQUIRED = operator.itemgetter(*(c.key for c in _REQUIRED))
+
+
+def _write_rows(fh: TextIO, cols: dict) -> None:
+    """Write the rows of the columns `cols` (`Trace` attribute -> array)
+    as the JSON lines `Trace.write_records` writes."""
+    for lo in range(0, len(cols["t"]), _CHUNK_OUT):
+        cells = [
+            c.cells(cols[c.attr][lo:lo + _CHUNK_OUT], head, tail)
+            for c, head, tail in zip(_SORTED, _HEADS, _TAILS)
+        ]
+        fh.write("\n".join(map("".join, zip(*cells))) + "\n")
+
+
+def _empty_columns(n: int) -> dict:
+    return {c.attr: np.empty(n, c.dtype) for c in _COLUMNS}
+
+
+def _fill(cols: dict, n: int, chunk: list) -> None:
+    """Parse the round records `chunk` into rows n: of the columns `cols`.
+    Raises KeyError, TypeError or OverflowError on a record that is not
+    one."""
+    end = n + len(chunk)
+    for c, vals in zip(_REQUIRED, zip(*map(_GET_REQUIRED, chunk))):
+        cols[c.attr][n:end] = c.parse(vals)
+    for c in _OPTIONAL:
+        cols[c.attr][n:end] = c.parse([rec[c.key] if c.key in rec else -1 for rec in chunk])
+
+
+# Every finite float64 is an integer multiple of 2**-1074.
+_UNIT_EXP = 1074
+# Distinct values `_exact_sum` counts one by one before it sorts the rest.
+_PEELS = 8
+
+
+def _exact_sum(terms: np.ndarray) -> tuple[int, float]:
+    """The sum of the finite `terms` in units of 2**-1074, exactly, and the
+    IEEE sum of the others (0.0 if there are none)."""
+    todo = np.isfinite(terms)
+    with np.errstate(invalid="ignore"):
+        special = float(terms[~todo].sum())
+    # A trace's terms take a handful of values, so each is counted on its
+    # own; sorting them instead would page numpy's sort code in, about
+    # 0.3 MB of resident memory.
+    groups = []
+    for _ in range(_PEELS):
+        if not todo.any():
+            break
+        v = terms[todo.argmax()]
+        same = terms == v
+        todo[same] = False
+        groups.append((float(v), int(np.count_nonzero(same))))
+    if todo.any():
+        groups += zip(*(a.tolist() for a in np.unique(terms[todo], return_counts=True)))
+    units = 0
+    for v, k in groups:
+        num, den = v.as_integer_ratio()  # den is a power of two
+        units += k * num << (_UNIT_EXP + 1 - den.bit_length())
+    return units, special
+
+
+def _rounded(units: int, special: float) -> float:
+    """The float nearest the sum of `_exact_sum`'s parts."""
+    if special != 0.0:  # an inf or a NaN term decides the sum, as in IEEE
+        return special
+    try:
+        return units / (1 << _UNIT_EXP)  # int / int rounds correctly
+    except OverflowError:
+        return math.inf if units > 0 else -math.inf
+
+
+class _Certificate:
+    """One fold over a trace's column chunks: the error ledger and what
+    `check_claims` reads.
+
+    `add` takes a mapping from `Trace` attribute to a chunk of that column
+    (a trace's `vars` is one), in round order. The result does not depend
+    on how the rounds are cut into chunks: the ledger is integer counts,
+    the telescoping sums are exact until they are read, the band keeps a
+    NaN and the sign of a zero extreme, and the displacement reads the
+    first thresholds before and the last after. With ledger_only set, only
+    the ledger is kept, and the config may be None.
+    """
+
+    def __init__(self, config: Optional[dict], ledger_only: bool = False):
+        self.config = config
+        self.ledger_only = ledger_only
+        self.ledger = ErrorLedger()
+        self._units = [0, 0]
+        self._special = [0.0, 0.0]
+        self._lo, self._hi = math.inf, -math.inf
+        self._neg_zero = self._pos_zero = False
+        self._first = self._last = None
+
+    @classmethod
+    def of(cls, trace: Trace) -> "_Certificate":
+        return cls(trace.config).add(vars(trace))
+
+    def add(self, cols) -> "_Certificate":
+        w, action, g_latent = cols["w"], cols["action"], cols["g_latent"]
+        if not w.size:
+            return self
+        tau_r, tau_a = cols["tau_r_before"], cols["tau_a_before"]
+        g0 = g_latent == 0
+        g1 = ~g0
+        above, below = w > tau_a, w < tau_r
+        n0 = int(np.count_nonzero(g0))
+        led = self.ledger
+        led.n0 += n0
+        led.n1 += w.size - n0
+        led.type1_policy += int(np.count_nonzero((action == ACTION_ACCEPT) & g0))
+        led.type2_policy += int(np.count_nonzero((action == ACTION_REJECT) & g1))
+        led.type1_threshold += int(np.count_nonzero(above & g0))
+        led.type2_threshold += int(np.count_nonzero(below & g1))
+        led.sv_count += int(np.count_nonzero(action == ACTION_STRONG_VERIFY))
+        led.total += w.size
+        if self.ledger_only:
+            return self
+        policy = self.config["policy"]
+        g_observed, q = cols["g_observed"], cols["q"]
+        for i, (label, ind, target) in enumerate(
+            ((0, above, policy["alpha"]), (1, below, policy["beta"]))
+        ):
+            # indices, not a mask: they select a few rows much faster
+            rows = np.flatnonzero(g_observed == label)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                units, special = _exact_sum((ind[rows] - target) / q[rows])
+            self._units[i] += units
+            self._special[i] += special
+        tau_r_after, tau_a_after = cols["tau_r_after"], cols["tau_a_after"]
+        taus = (tau_r, tau_a, tau_r_after, tau_a_after)
+        # np.min and np.max, unlike the builtins, let a NaN through
+        lo = np.min([a.min() for a in taus])
+        hi = np.max([a.max() for a in taus])
+        # min/max pick the sign of a zero by SIMD lane. A zero low is -0.0
+        # if any -0.0 is present, a zero high 0.0 if any 0.0 is; no value
+        # lies beyond a zero extreme, so the sign bit tells the zeros apart
+        if lo == 0.0:
+            self._neg_zero |= any(np.signbit(a).any() for a in taus)
+        if hi == 0.0:
+            self._pos_zero |= not all(np.signbit(a).all() for a in taus)
+        self._lo = float(np.min([self._lo, lo]))
+        self._hi = float(np.max([self._hi, hi]))
+        if self._first is None:
+            self._first = (float(tau_r[0]), float(tau_a[0]))
+        self._last = (float(tau_r_after[-1]), float(tau_a_after[-1]))
+        return self
+
+    def claims(self) -> dict:
+        """`check_claims` of the rounds added so far."""
+        cfg = self.config["policy"]
+        eta = cfg["eta"]
+        q_min = min(cfg["q_accept"], cfg["q_reject"])
+        sum_accept, sum_reject = map(_rounded, self._units, self._special)
+        if self._first is None:
+            disp_accept = disp_reject = 0.0
+            lo, hi = 0.0, 1.0
+        else:
+            disp_accept = (self._last[1] - self._first[1]) / eta
+            disp_reject = (self._first[0] - self._last[0]) / eta
+            lo, hi = self._lo, self._hi
+            if lo == 0.0:
+                lo = -0.0 if self._neg_zero else 0.0
+            if hi == 0.0:
+                hi = 0.0 if self._pos_zero else -0.0
+        band_lo = -eta / q_min
+        band_hi = 1.0 + eta / q_min
+        claims = {
+            f"telescoping_{side}": {"sum": total, "limit": limit, "pass": total <= limit + 1e-9}
+            for side, total, limit in (
+                ("accept", sum_accept, disp_accept), ("reject", sum_reject, disp_reject)
+            )
+        }
+        claims["threshold_band"] = {
+            "low": lo,
+            "high": hi,
+            "band": [band_lo, band_hi],
+            # pure float guard; the band itself is exact
+            "pass": lo >= band_lo - 1e-12 and hi <= band_hi + 1e-12,
+        }
+        for side in ("type1", "type2"):
+            policy = getattr(self.ledger, f"{side}_policy")
+            threshold = getattr(self.ledger, f"{side}_threshold")
+            claims[f"domination_{side}"] = {
+                "policy": policy, "threshold": threshold, "pass": policy <= threshold,
+            }
+        return {"claims": claims, "pass": all(c["pass"] for c in claims.values())}
+
+
+def _fold_records(config: dict, records: Iterable[dict]) -> _Certificate:
+    """The certificate of round records, parsed as `Trace.from_records`
+    parses them into a column buffer of `_FOLD_ROWS` rows that is folded
+    each time it fills, so memory does not grow with the records."""
+    cert = _Certificate(config)
+    buf = _empty_columns(_FOLD_ROWS)
+    n = 0
+    records = iter(records)
+    while chunk := list(itertools.islice(records, min(_CHUNK_IN, _FOLD_ROWS - n))):
+        _fill(buf, n, chunk)
+        n += len(chunk)
+        del chunk  # let its records go before the next chunk is decoded
+        if n == _FOLD_ROWS:
+            cert.add(buf)
+            n = 0
+    return cert.add({attr: a[:n] for attr, a in buf.items()})
 
 
 def recompute_ledger(trace: Trace) -> ErrorLedger:
     """Rebuild the ledger from the recorded rounds alone."""
-    return _ledger_from_arrays(
-        trace.w, trace.action, trace.g_latent, trace.tau_r_before, trace.tau_a_before
-    )
+    return _Certificate(trace.config, ledger_only=True).add(vars(trace)).ledger
+
+
+# The names of the columns `_kernel.derive_columns` returns, in its order.
+_DERIVED = (
+    "region", "action", "q", "explored", "g_observed",
+    "tau_r_before", "tau_a_before", "tau_r_after", "tau_a_after",
+)
+
+
+def _columns(w, g_latent, cols, start: int = 1) -> dict:
+    """The columns of rounds start, start + 1, ... of a run from their
+    scores, latent labels and the columns `_kernel.derive_columns`
+    returns."""
+    return {
+        "t": np.arange(start, start + w.size, dtype=np.int64),
+        "w": w,
+        "g_latent": g_latent,
+        **dict(zip(_DERIVED, cols)),
+    }
 
 
 def _trace(echo: dict, w, g_latent, cols, outcome=None) -> Trace:
     """The trace of a run from its scores, its latent labels and the
     columns `_kernel.derive_columns` returns."""
-    region, action, q, explored, g_observed, tr_before, ta_before, tr_after, ta_after = cols
-    return Trace(
-        config=echo,
-        t=np.arange(1, w.size + 1, dtype=np.int64),
-        w=w,
-        region=region,
-        action=action,
-        q=q,
-        explored=explored,
-        g_observed=g_observed,
-        g_latent=g_latent,
-        tau_r_before=tr_before,
-        tau_a_before=ta_before,
-        tau_r_after=tr_after,
-        tau_a_after=ta_after,
-        ledger=_ledger_from_arrays(w, action, g_latent, tr_before, ta_before),
-        outcome=outcome,
-    )
+    named = _columns(w, g_latent, cols)
+    ledger = _Certificate(echo, ledger_only=True).add(named).ledger
+    return Trace(config=echo, ledger=ledger, outcome=outcome, **named)
+
+
+def _kernel_args(config: PolicyConfig) -> tuple:
+    return (config.alpha, config.beta, config.eta, config.q_accept, config.q_reject)
 
 
 def _run_kernel(config: PolicyConfig, stream, horizon: Optional[int], echo: dict) -> Trace:
@@ -322,18 +516,34 @@ def _run_kernel(config: PolicyConfig, stream, horizon: Optional[int], echo: dict
     g = np.asarray(g, np.int64)
     u = np.random.default_rng(config.seed).random(w.size)
     *cols, _ = _kernel.run_rounds(
-        w,
-        g,
-        u,
-        config.alpha,
-        config.beta,
-        config.eta,
-        config.q_accept,
-        config.q_reject,
-        config.tau_reject_init,
-        config.tau_accept_init,
+        w, g, u, *_kernel_args(config), config.tau_reject_init, config.tau_accept_init
     )
     return _trace(echo, w, g, cols)
+
+
+def _kernel_chunks(config: PolicyConfig, stream, horizon: Optional[int]) -> Iterator[dict]:
+    """The columns of `_run_kernel`'s run, `_kernel._CHUNK` rounds at a
+    time. Each chunk takes its scores from the stream, tops the unused
+    uniforms up from the policy's generator and starts the kernel from the
+    thresholds the chunk before ended at, so the chunks join to the same
+    bits as one run."""
+    rng = np.random.default_rng(config.seed)
+    u = np.empty(0)
+    tr, ta = config.tau_reject_init, config.tau_accept_init
+    done = 0
+    while horizon is None or done < horizon:
+        n = _kernel._CHUNK if horizon is None else min(_kernel._CHUNK, horizon - done)
+        w, g = stream.take(n)
+        if not w.size:
+            break
+        w = np.asarray(w, np.float64)
+        g = np.asarray(g, np.int64)
+        u = np.concatenate([u, rng.random(max(0, w.size - u.size))])
+        *cols, used = _kernel.run_rounds(w, g, u, *_kernel_args(config), tr, ta)
+        u = u[used:]
+        tr, ta = float(cols[-2][-1]), float(cols[-1][-1])
+        yield _columns(w, g, cols, done + 1)
+        done += w.size
 
 
 def _run_engine(config: PolicyConfig, stream, horizon: Optional[int], echo: dict) -> Trace:
@@ -392,6 +602,16 @@ def _run_engine(config: PolicyConfig, stream, horizon: Optional[int], echo: dict
     return _trace(echo, w, g_latent, cols, outcome)
 
 
+def _kernel_path(stream: VerifierStream, horizon: Optional[int], force_engine: bool = False) -> bool:
+    """Whether a run of `stream` takes the array kernel: only a
+    non-reactive stream that draws arrays (`take`) does, unless
+    force_engine is set. Raises ValueError if the stream never exhausts
+    and there is no horizon."""
+    if horizon is None and isinstance(stream, (CalibratedStream, MiscalibratedStream)):
+        raise ValueError("this stream never exhausts; a horizon is required")
+    return not (stream.reactive or force_engine) and hasattr(stream, "take")
+
+
 def run_one(
     config: PolicyConfig,
     stream: VerifierStream,
@@ -410,11 +630,9 @@ def run_one(
     """
     if echo is None:
         echo = {"policy": config.to_dict(), "stream": stream.spec_dict(), "horizon": horizon}
-    if horizon is None and isinstance(stream, (CalibratedStream, MiscalibratedStream)):
-        raise ValueError("this stream never exhausts; a horizon is required")
-    if stream.reactive or force_engine or not hasattr(stream, "take"):
-        return _run_engine(config, stream, horizon, echo)
-    return _run_kernel(config, stream, horizon, echo)
+    if _kernel_path(stream, horizon, force_engine):
+        return _run_kernel(config, stream, horizon, echo)
+    return _run_engine(config, stream, horizon, echo)
 
 
 def run(spec: RunSpec) -> list[Trace]:
@@ -426,7 +644,9 @@ def run(spec: RunSpec) -> list[Trace]:
     return [run_rep(spec, rep) for rep in range(spec.repetitions)]
 
 
-def run_rep(spec: RunSpec, rep: int, force_engine: bool = False) -> Trace:
+def _rep_setup(spec: RunSpec, rep: int) -> tuple[PolicyConfig, VerifierStream, dict]:
+    """The policy config, the stream and the config echo of repetition
+    `rep` of a spec."""
     if not 0 <= rep < spec.repetitions:
         raise ValueError(f"rep must be in [0, {spec.repetitions}), got {rep}")
     policy_seed = derive_seed(spec.seed_base, rep, _POLICY_CHANNEL)
@@ -440,6 +660,11 @@ def run_rep(spec: RunSpec, rep: int, force_engine: bool = False) -> Trace:
         "seed_base": spec.seed_base,
         "rep": rep,
     }
+    return config, stream, echo
+
+
+def run_rep(spec: RunSpec, rep: int, force_engine: bool = False) -> Trace:
+    config, stream, echo = _rep_setup(spec, rep)
     return run_one(config, stream, spec.horizon, force_engine=force_engine, echo=echo)
 
 
@@ -462,7 +687,8 @@ def error_curves(trace: Trace) -> dict:
 
 
 def verify_bound(trace: Trace, delta: float = 0.05) -> dict:
-    """Evaluate both finite-time error inequalities on a finished trace.
+    """Evaluate both finite-time error inequalities on a finished trace,
+    or on anything else with a trace's `config` and `ledger`.
 
     Runs produced here always use constant step size and exploration
     rates, which is what the bound assumes. A side with no items of the
@@ -495,76 +721,18 @@ def verify_bound(trace: Trace, delta: float = 0.05) -> dict:
 
 
 def check_claims(trace: Trace) -> dict:
-    """Recheck the trace-level guarantees the update rule carries.
+    """Recheck the trace-level guarantees the update rule carries, from
+    the trace's columns, or from the certificate folded over them in
+    chunks.
 
     Telescoping: the importance-weighted error sums recomputed from the
-    records are bounded by the net threshold displacement over the step
-    size (tolerance 1e-9). Band: both thresholds stay inside
-    [-eta/q_min, 1 + eta/q_min]. Domination: unilateral policy errors
-    never exceed the threshold-induced counts.
+    records, each rounded once from its exact value, are bounded by the
+    net threshold displacement over the step size (tolerance 1e-9). Band:
+    both thresholds stay inside [-eta/q_min, 1 + eta/q_min]. Domination:
+    unilateral policy errors never exceed the threshold-induced counts.
     """
-    cfg = trace.config["policy"]
-    alpha, beta, eta = cfg["alpha"], cfg["beta"], cfg["eta"]
-    q_min = min(cfg["q_accept"], cfg["q_reject"])
-    sv = trace.g_observed >= 0
-    gate0 = sv & (trace.g_observed == 0)
-    gate1 = sv & (trace.g_observed == 1)
-    ind_a = (trace.w > trace.tau_a_before).astype(np.float64)
-    ind_r = (trace.w < trace.tau_r_before).astype(np.float64)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sum_accept = float(((ind_a - alpha) / trace.q)[gate0].sum())
-        sum_reject = float(((ind_r - beta) / trace.q)[gate1].sum())
-    if len(trace):
-        disp_accept = float(trace.tau_a_after[-1] - trace.tau_a_before[0]) / eta
-        disp_reject = float(trace.tau_r_before[0] - trace.tau_r_after[-1]) / eta
-        taus = (trace.tau_r_before, trace.tau_a_before, trace.tau_r_after, trace.tau_a_after)
-        # np.min and np.max, unlike the builtins, let a NaN through
-        lo = float(np.min([a.min() for a in taus]))
-        hi = float(np.max([a.max() for a in taus]))
-        # min/max pick the sign of a zero by SIMD lane. A zero low is -0.0
-        # if any -0.0 is present, a zero high 0.0 if any 0.0 is; no value
-        # lies beyond a zero extreme, so the sign bit tells the zeros apart
-        if lo == 0.0:
-            lo = -0.0 if any(np.signbit(a).any() for a in taus) else 0.0
-        if hi == 0.0:
-            hi = -0.0 if all(np.signbit(a).all() for a in taus) else 0.0
-    else:
-        disp_accept = 0.0
-        disp_reject = 0.0
-        lo, hi = 0.0, 1.0
-    band_lo = -eta / q_min
-    band_hi = 1.0 + eta / q_min
-    led = trace.ledger
-    claims = {
-        "telescoping_accept": {
-            "sum": sum_accept,
-            "limit": disp_accept,
-            "pass": sum_accept <= disp_accept + 1e-9,
-        },
-        "telescoping_reject": {
-            "sum": sum_reject,
-            "limit": disp_reject,
-            "pass": sum_reject <= disp_reject + 1e-9,
-        },
-        "threshold_band": {
-            "low": lo,
-            "high": hi,
-            "band": [band_lo, band_hi],
-            # pure float guard; the band itself is exact
-            "pass": lo >= band_lo - 1e-12 and hi <= band_hi + 1e-12,
-        },
-        "domination_type1": {
-            "policy": led.type1_policy,
-            "threshold": led.type1_threshold,
-            "pass": led.type1_policy <= led.type1_threshold,
-        },
-        "domination_type2": {
-            "policy": led.type2_policy,
-            "threshold": led.type2_threshold,
-            "pass": led.type2_policy <= led.type2_threshold,
-        },
-    }
-    return {"claims": claims, "pass": all(c["pass"] for c in claims.values())}
+    cert = trace if isinstance(trace, _Certificate) else _Certificate.of(trace)
+    return cert.claims()
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -18,12 +19,15 @@ from selverify import (
     ParetoPoint,
     PointMass,
     PolicyConfig,
+    RunSpec,
     Trace,
     UniformDist,
     kernel_backend,
     preset_drift,
     preset_math_like,
+    run_rep,
     sweep,
+    verify_bound,
 )
 from selverify.cli import (
     EXIT_CHECK_FAILED,
@@ -224,6 +228,57 @@ def test_simulate_output_bytes_are_pinned(tmp_path, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def in_memory_file(cfg: dict) -> bytes:
+    """What `simulate` writes for a config, made from one in-memory run: the
+    header, `run_rep(...).write_records` and the summary line."""
+    spec = RunSpec(
+        policy=PolicyConfig.from_dict(cfg["policy"]), stream=cfg["stream"],
+        horizon=cfg["horizon"], seed_base=cfg["seed_base"],
+    )
+    trace = run_rep(spec, 0)
+    buf = io.StringIO()
+    buf.write(cli._dumps({"config": {**trace.config, "delta": 0.05}, "version": selverify.__version__}) + "\n")
+    trace.write_records(buf)
+    buf.write(cli._dumps({
+        "metrics": cli._summary_metrics(trace.ledger), "bounds": verify_bound(trace, 0.05),
+    }) + "\n")
+    return buf.getvalue().encode()
+
+
+UNIFORM_STREAM = {"kind": "calibrated", "score_dist": UniformDist().to_dict(), "seed": 0}
+# segment lengths that are not multiples of the 4,096-round chunk
+UNEVEN_DRIFT = {
+    "kind": "drift", "seed": 2,
+    "segments": [
+        {"score_dist": UniformDist().to_dict(), "length": 3_000},
+        {"score_dist": BetaDist(5.0, 2.0).to_dict(), "length": 5_001},
+        {"score_dist": BetaDist(2.0, 5.0).to_dict(), "length": 4_097},
+    ],
+}
+
+
+@pytest.mark.parametrize("policy, stream, horizon", [
+    *[(POLICY, UNIFORM_STREAM, h) for h in (1, 4_095, 4_096, 4_097, 12_289)],
+    (POLICY, UNEVEN_DRIFT, None),
+    ({**POLICY, "tau_reject_init": -0.0}, UNEVEN_DRIFT, None),
+    ({**POLICY, "tau_reject_init": -0.0}, UNEVEN_DRIFT, 8_193),
+], ids=["1", "4095", "4096", "4097", "12289", "drift", "drift_neg_zero", "drift_prefix"])
+def test_streamed_simulate_writes_the_in_memory_run(tmp_path, policy, stream, horizon):
+    cfg = {"policy": policy, "stream": stream, "horizon": horizon, "seed_base": 11}
+    out = tmp_path / "trace.jsonl"
+    assert main(["simulate", "-c", write_config(tmp_path, "sim.json", cfg), "-o", str(out)]) == EXIT_OK
+    assert out.read_bytes() == in_memory_file(cfg)
+
+
+def test_an_endless_stream_without_a_horizon_writes_nothing(tmp_path, capsys):
+    cfg = write_config(tmp_path, "sim.json", {
+        "policy": POLICY, "stream": UNIFORM_STREAM, "horizon": None, "seed_base": 0,
+    })
+    assert main(["simulate", "-c", cfg, "-o", str(tmp_path / "t.jsonl")]) == EXIT_VALIDATION
+    assert "horizon is required" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "sim.json"]
+
+
 def test_simulate_and_check_never_import_scipy(tmp_path):
     # scipy serves only the population quadrature; loading it costs a
     # one-shot command most of its start-up time
@@ -285,6 +340,48 @@ def test_check_peak_memory_stays_near_the_columns(tmp_path):
     column_bytes = rounds * sum(np.dtype(c.dtype).itemsize for c in experiments._COLUMNS)
     assert res["code"] == EXIT_OK
     assert res["growth_kb"] * 1024 < 1.8 * column_bytes
+
+
+def _command_growth_kb(argv) -> int:
+    """VmHWM growth of one command in a fresh interpreter, from just after
+    the import."""
+    script = (
+        "import contextlib, io, json\n"
+        "import selverify.cli\n"
+        "def hwm():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
+        "before = hwm()\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    code = selverify.cli.main({argv!r})\n"
+        "print(json.dumps({'code': code, 'growth_kb': hwm() - before}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(selverify.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    res = json.loads(proc.stdout.splitlines()[-1])
+    assert res["code"] == EXIT_OK
+    return res["growth_kb"]
+
+
+@pytest.mark.skipif(_vm_hwm_kb() is None, reason="no VmHWM in /proc/self/status")
+def test_memory_does_not_grow_with_the_horizon(tmp_path):
+    # simulate and check hold one chunk of rounds at a time, so three
+    # times the rounds take the same peak
+    growth = {}
+    for rounds in (100_000, 300_000):
+        cfg = write_config(tmp_path, f"sim{rounds}.json", {
+            "policy": POLICY, "stream": preset_drift(rounds, seed=0), "horizon": None,
+            "seed_base": 1,
+        })
+        out = str(tmp_path / f"trace{rounds}.jsonl")
+        growth[rounds] = (
+            _command_growth_kb(["simulate", "-c", cfg, "-o", out]),
+            _command_growth_kb(["check", out]),
+        )
+    for short, long in zip(growth[100_000], growth[300_000]):
+        assert long - short < 3 * 1024, growth
 
 
 def sweep_cfg_dict():
@@ -614,9 +711,100 @@ class TestCheck:
         assert err.startswith("error: malformed trace: line 11: Expecting ',' delimiter")
 
 
+@pytest.fixture(scope="module")
+def long_trace_lines(tmp_path_factory):
+    """The lines of an honest 10,000-round file: `check` folds its rounds
+    4,096 at a time, in three chunks."""
+    tmp = tmp_path_factory.mktemp("long")
+    cfg = simulate_config(tmp, horizon=10_000)
+    out = tmp / "trace.jsonl"
+    assert main(["simulate", "-c", cfg, "-o", str(out)]) == EXIT_OK
+    return out.read_text().splitlines()
+
+
+def run_check(path, lines, capsys):
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["check", str(path)])
+    return code, capsys.readouterr()
+
+
+def _cut_short(rec):
+    return rec[: len(rec) // 2]
+
+
+def _w_as_a_string(rec):
+    return rec.replace('"w":', '"w":"x","was":')
+
+
+def _without_tau_a_before(rec):
+    obj = json.loads(rec)
+    del obj["tau_A_before"]
+    return json.dumps(obj)
+
+
+class TestStreamedCheck:
+    @pytest.mark.parametrize("round_index", [100, 5_000, 9_990], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("spoil", [_cut_short, _w_as_a_string, _without_tau_a_before],
+                             ids=["invalid_json", "wrong_type", "missing_key"])
+    def test_a_bad_record_prints_no_verdict(self, tmp_path, capsys, long_trace_lines, round_index, spoil):
+        lines = list(long_trace_lines)
+        lines[round_index] = spoil(lines[round_index])
+        code, out = run_check(tmp_path / "t.jsonl", lines, capsys)
+        assert code == EXIT_IO
+        assert out.out == ""
+        assert out.err.startswith("error: malformed trace: ") and "Traceback" not in out.err
+
+    def test_a_file_without_its_summary(self, tmp_path, capsys, long_trace_lines):
+        code, honest = run_check(tmp_path / "a.jsonl", long_trace_lines, capsys)
+        assert code == EXIT_OK
+        code, cut = run_check(tmp_path / "b.jsonl", long_trace_lines[:-1], capsys)
+        assert code == EXIT_OK
+        assert cut.out == honest.out.replace("summary metrics match records: PASS\n", "")
+
+    def test_a_header_only_file(self, tmp_path, capsys, long_trace_lines):
+        code, out = run_check(tmp_path / "t.jsonl", long_trace_lines[:1], capsys)
+        assert code == EXIT_OK
+        assert out.out.splitlines() == [
+            "bound type1: vacuous: N₀=0 PASS",
+            "bound type2: vacuous: N₁=0 PASS",
+            "claim telescoping_accept: {'sum': 0.0, 'limit': 0.0} PASS",
+            "claim telescoping_reject: {'sum': 0.0, 'limit': 0.0} PASS",
+            "claim threshold_band: {'low': 0.0, 'high': 1.0, 'band': [-0.5, 1.5]} PASS",
+            "claim domination_type1: {'policy': 0, 'threshold': 0} PASS",
+            "claim domination_type2: {'policy': 0, 'threshold': 0} PASS",
+            "all checks passed",
+        ]
+
+    @pytest.mark.parametrize("above", [[False], [True], [False, True]], ids=["-inf", "inf", "nan"])
+    def test_non_finite_terms_give_the_ieee_sum(self, tmp_path, capsys, long_trace_lines, above):
+        # q_t of 0 on a queried incorrect round makes its accept term
+        # +-inf; the rounds sit in the first and the last chunk
+        lines = list(long_trace_lines)
+        recs = {i: json.loads(lines[i]) for i in (*range(1, 200), *range(9_800, 10_001))}
+        for want, order in zip(above, (sorted(recs), sorted(recs, reverse=True))):
+            i = next(i for i in order if recs[i].get("g_observed") == 0
+                     and (recs[i]["w"] > recs[i]["tau_A_before"]) == want)
+            recs[i]["q_t"] = 0
+            lines[i] = json.dumps(recs[i])
+        path = tmp_path / "t.jsonl"
+        code, out = run_check(path, lines, capsys)
+        _, trace, _ = per_line_parse(str(path))
+        alpha = trace.config["policy"]["alpha"]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = ((trace.w > trace.tau_a_before) - alpha) / trace.q
+            want = float(terms[trace.g_observed == 0].sum())
+        assert not np.isfinite(want)
+        line = next(line for line in out.out.splitlines() if "telescoping_accept" in line)
+        assert f"'sum': {want!r}," in line
+        assert line.endswith("FAIL" if want != -np.inf else "PASS")
+        assert code == (EXIT_OK if want == -np.inf else EXIT_CHECK_FAILED)
+
+
 def per_line_parse(path):
-    """`cli._parse_trace_file` with one json.loads call per line: the
-    reference the chunked decoding must agree with."""
+    """`cli._parse_trace_file` with one json.loads call per line and the
+    whole trace in memory: the reference the chunked decoding and folding
+    must agree with. `check` takes its trace where it takes a certificate."""
     with open(path, "r", encoding="utf-8") as fh:
         values = [json.loads(line) for line in fh if line.strip()]
     if not values:
@@ -629,6 +817,12 @@ def per_line_parse(path):
         if not isinstance(summary["metrics"], dict):
             raise ValueError("summary metrics must be an object")
     return header, Trace.from_records(header["config"], records), summary
+
+
+def assert_same_certificate(cert, ref):
+    assert cert.ledger == ref.ledger
+    # repr tells -0.0 from 0.0 and shows a NaN
+    assert repr(cli.check_claims(cert)) == repr(cli.check_claims(ref))
 
 
 def _split_and_merge(lines):
@@ -712,9 +906,20 @@ class TestChunkedDecoding:
         assert capsys.readouterr().out == reference.out
         if code == EXIT_IO:
             return
-        header, trace, summary = cli._parse_trace_file(str(path))
+        header, cert, summary = cli._parse_trace_file(str(path))
         ref_header, ref_trace, ref_summary = per_line_parse(str(path))
         assert header == ref_header and summary == ref_summary
+        assert_same_certificate(cert, experiments._Certificate.of(ref_trace))
+        # the records the chunks decode to, gathered into one trace
+        traces = []
+
+        def gather(config, records):
+            traces.append(Trace.from_records(config, records))
+            return experiments._Certificate.of(traces[-1])
+
+        monkeypatch.setattr(cli, "_fold_records", gather)
+        cli._parse_trace_file(str(path))
+        trace, = traces
         assert len(trace) == len(ref_trace)
         for c in experiments._COLUMNS:
             a, b = getattr(trace, c.attr), getattr(ref_trace, c.attr)

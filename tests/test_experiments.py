@@ -4,9 +4,12 @@ serialization, bound and claim checks, sweep determinism."""
 import dataclasses
 import io
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selverify import (
     Action,
@@ -592,6 +595,157 @@ class TestCheckClaims:
         res = check_claims(tampered)
         assert res["claims"]["threshold_band"]["pass"] is False
         assert res["pass"] is False
+
+
+def fold(trace: Trace, size: int) -> "experiments._Certificate":
+    """The certificate of a trace folded `size` rounds at a time."""
+    cert = experiments._Certificate(trace.config)
+    arrays = {k: v for k, v in vars(trace).items() if isinstance(v, np.ndarray)}
+    for lo in range(0, len(trace), size):
+        cert.add({k: v[lo:lo + size] for k, v in arrays.items()})
+    return cert
+
+
+def telescoping_terms(trace: Trace) -> list:
+    """Each side's importance-weighted terms, as the claims define them."""
+    cfg = trace.config["policy"]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        accept = ((trace.w > trace.tau_a_before) - cfg["alpha"]) / trace.q
+        reject = ((trace.w < trace.tau_r_before) - cfg["beta"]) / trace.q
+    return [accept[trace.g_observed == 0], reject[trace.g_observed == 1]]
+
+
+def exact_sum(terms: np.ndarray) -> float:
+    return float(sum(map(Fraction, terms.tolist()), Fraction(0)))
+
+
+def fold_results(cert) -> tuple:
+    claims = cert.claims()["claims"]
+    floats = [
+        claims["telescoping_accept"]["sum"], claims["telescoping_reject"]["sum"],
+        claims["threshold_band"]["low"], claims["threshold_band"]["high"],
+    ]
+    return cert.ledger, np.array(floats).tobytes(), cert._first, cert._last
+
+
+def assert_fold_is_chunking_free(trace: Trace):
+    whole = fold_results(fold(trace, max(len(trace), 1)))
+    for size in (1, 7, 512, 4096):
+        assert fold_results(fold(trace, size)) == whole, size
+    assert whole[0] == recompute_ledger(trace)
+    sums = np.frombuffer(whole[1], np.float64)[:2]
+    for got, terms in zip(sums, telescoping_terms(trace)):
+        if np.isfinite(terms).all():
+            assert got == exact_sum(terms)
+        else:  # the sum IEEE arithmetic gives, in any order
+            assert_bitwise_equal(np.array(got), np.array(terms.sum()))
+
+
+# Criterion 3's policies and streams, with the initial thresholds and the
+# exploration rates drawn from a few edge values too.
+FOLD_CASES = st.fixed_dictionaries({
+    "alpha": st.floats(0.01, 0.5),
+    "beta": st.floats(0.01, 0.5),
+    "eta": st.floats(0.005, 0.2),
+    "q_accept": st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+    "q_reject": st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+    "tau_reject_init": st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(0.0, 1.0)),
+    "tau_accept_init": st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+    "seed": st.integers(0, 2**31 - 1),
+})
+FOLD_STREAMS = st.one_of(
+    st.tuples(st.just("calibrated"), st.integers(0, 2**31 - 1), st.integers(1, 1200)),
+    st.tuples(st.just("drift"), st.integers(0, 2**31 - 1), st.integers(1, 1200)),
+    st.tuples(st.just("best_of_n"), st.integers(0, 2**31 - 1), st.integers(5, 40)),
+)
+
+
+class TestCertificate:
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=FOLD_CASES, stream=FOLD_STREAMS)
+    def test_the_fold_does_not_depend_on_chunking(self, cfg, stream):
+        cfg["tau_accept_init"] = max(cfg["tau_accept_init"], cfg["tau_reject_init"])
+        kind, seed, size = stream
+        if kind == "calibrated":
+            source, horizon = CalibratedStream(BetaDist(2.0, 2.0), seed=seed), size
+        elif kind == "drift":
+            segments = [(UniformDist(), size), (BetaDist(5.0, 1.0), size // 2 + 1)]
+            source, horizon = DriftStream(segments, seed=seed), None
+        else:
+            source = make_stream(preset_math_like("easy", size, 4), seed=seed)
+            horizon = None
+        assert_fold_is_chunking_free(run_one(PolicyConfig(**cfg), source, horizon))
+
+    def test_a_negative_zero_start_and_q_of_one(self):
+        trace = uniform_run(horizon=5_000, tau_reject_init=-0.0, q_accept=1.0, q_reject=1.0)
+        assert np.signbit(check_claims(trace)["claims"]["threshold_band"]["low"])
+        assert_fold_is_chunking_free(trace)
+
+    def test_zero_extremes_keep_their_canonical_sign(self):
+        # the layouts of test_a_zero_extreme_has_a_canonical_sign, folded
+        # in chunks: a zero of either sign may sit in any chunk
+        rng = np.random.default_rng(10)
+        names = ("tau_r_before", "tau_a_before", "tau_r_after", "tau_a_after")
+        for i in range(30):
+            base = uniform_run(horizon=int(rng.integers(1, 600)), stream_seed=i)
+            side = 1.0 if i % 2 else -1.0
+            cols = rng.uniform(0.0, 1.0, (4, len(base))) * side
+            flat = cols.reshape(-1)
+            spots = rng.choice(flat.size, size=min(flat.size, int(rng.integers(1, 9))), replace=False)
+            flat[spots] = rng.choice([-0.0, 0.0], spots.size)
+            if i % 7 == 0:
+                flat[rng.integers(flat.size)] = np.nan
+            assert_fold_is_chunking_free(dataclasses.replace(base, **dict(zip(names, cols))))
+
+    def test_non_finite_terms_sum_as_ieee_does(self):
+        # q_t of 0 or inf, as a hand-made file may hold: +inf, -inf and
+        # NaN terms across chunks, and -0.0 and 0.0 terms
+        base = uniform_run(horizon=1_500)
+        gated = np.flatnonzero(base.g_observed == 0)
+        for picks in ([0], [-1], [0, -1], [len(gated) // 2]):
+            for q in (0.0, np.inf):
+                trace = dataclasses.replace(base, q=base.q.copy())
+                trace.q[gated[picks]] = q
+                assert_fold_is_chunking_free(trace)
+        up = dataclasses.replace(base, q=base.q.copy())
+        up.q[gated[0]] = 0.0
+        up.w = up.w.copy()
+        up.w[gated[0]] = 2.0  # above the accept threshold: a +inf term
+        assert check_claims(up)["claims"]["telescoping_accept"]["sum"] == np.inf
+        assert check_claims(up)["claims"]["telescoping_accept"]["pass"] is False
+
+    def test_many_distinct_terms_sum_exactly(self):
+        # a trace's terms take a few values; a hand-made q_t column can
+        # give every term its own
+        trace = uniform_run(horizon=3_000)
+        trace.q = np.random.default_rng(3).uniform(0.05, 1.0, len(trace))
+        assert all(np.unique(t).size > 100 for t in telescoping_terms(trace))
+        assert_fold_is_chunking_free(trace)
+
+    def test_an_overflowing_sum_rounds_to_inf(self):
+        trace = uniform_run(horizon=3_000)
+        trace.q = np.where(trace.g_observed == 0, 1e-308, trace.q)
+        terms = telescoping_terms(trace)[0]
+        with np.errstate(over="ignore"):
+            assert np.isfinite(terms).all() and terms.sum() == -np.inf
+        assert check_claims(trace)["claims"]["telescoping_accept"]["sum"] == -np.inf
+
+    def test_the_kernel_returns_nine_columns_and_a_cursor(self):
+        # bench/tracer.py reads this tuple by position: action second,
+        # the cursor last
+        T = 5_000
+        rng = np.random.default_rng(0)
+        w = rng.uniform(0.0, 1.0, T)
+        out = _kernel.run_rounds(
+            w, (rng.uniform(0.0, 1.0, T) < w).astype(np.int64), rng.uniform(0.0, 1.0, T),
+            0.1, 0.1, 0.05, 0.2, 0.2, 0.1, 0.9,
+        )
+        assert len(out) == 10
+        dtypes = [np.int64, np.int64, np.float64, np.bool_, np.int64] + [np.float64] * 4
+        for i, (col, dtype) in enumerate(zip(out[:9], dtypes)):
+            assert isinstance(col, np.ndarray) and col.dtype == dtype and col.shape == (T,), i
+        assert type(out[-1]) is int and 0 < out[-1] <= T
+        assert out[-1] == np.count_nonzero(out[0] != _kernel.REGION_UNCERTAIN)
 
 
 class TestExplorationFloor:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from selverify import ErrorLedger, delta_bound
-from selverify.experiments import _ledger_from_arrays
+from selverify.experiments import _Certificate
 
 ACCEPT, REJECT, SV = 0, 1, 2  # action codes of the trace columns
 TAU_R, TAU_A = 0.3, 0.7
@@ -15,10 +15,11 @@ def tally(rounds):
     (TAU_R, TAU_A)."""
     w, action, g = (np.array(c) for c in zip(*rounds))
     n = len(rounds)
-    return _ledger_from_arrays(
-        w.astype(np.float64), action.astype(np.int64), g.astype(np.int64),
-        np.full(n, TAU_R), np.full(n, TAU_A),
-    )
+    return _Certificate(None, ledger_only=True).add({
+        "w": w.astype(np.float64), "action": action.astype(np.int64),
+        "g_latent": g.astype(np.int64),
+        "tau_r_before": np.full(n, TAU_R), "tau_a_before": np.full(n, TAU_A),
+    }).ledger
 
 
 def hand_trace():
