@@ -40,6 +40,7 @@ from .experiments import (
     _kernel_chunks,
     _kernel_path,
     _rep_setup,
+    _takes,
     _write_rows,
     check_claims,
     run_rep,
@@ -155,13 +156,22 @@ def _summary_metrics(ledger: ErrorLedger) -> dict:
     }
 
 
+def _delta(config: dict, what: str = "delta") -> float:
+    """The `delta` of a run config, 0.05 if it has none. Raises ValueError
+    unless it is a JSON number in (0, 1)."""
+    delta = config.get("delta", 0.05)
+    if type(delta) not in (int, float) or not 0.0 < delta < 1.0:
+        raise ValueError(f"{what} must be a number in (0, 1), got {delta!r}")
+    return delta
+
+
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     _apply_overrides(cfg, args.set)
     if args.seed is not None:
         cfg["seed_base"] = args.seed
     rep = int(cfg.get("rep", 0))
-    delta = float(cfg.get("delta", 0.05))
+    delta = _delta(cfg)
     spec = RunSpec(
         policy=PolicyConfig.from_dict(cfg["policy"]),
         stream=cfg["stream"],
@@ -171,7 +181,7 @@ def cmd_simulate(args) -> int:
     )
     config, stream, echo = _rep_setup(spec, rep)
     if _kernel_path(stream, spec.horizon):
-        chunks = _kernel_chunks(config, stream, spec.horizon)
+        chunks = _kernel_chunks(config, _takes(stream, spec.horizon))
     else:
         # task runs are short: they run in memory and are written as one chunk
         chunks = [vars(run_rep(spec, rep))]
@@ -363,9 +373,7 @@ def _check_header(header) -> None:
     if full.keys() != policy.keys():
         missing = sorted(full.keys() - policy.keys())
         raise ValueError(f"header policy lacks {', '.join(missing)}")
-    delta = config.get("delta", 0.05)
-    if type(delta) not in (int, float) or not 0.0 < delta < 1.0:
-        raise ValueError(f"header delta must be a number in (0, 1), got {delta!r}")
+    _delta(config, "header delta")
 
 
 def _parse_trace_file(path: str) -> tuple[dict, _Certificate, Optional[dict]]:
@@ -417,7 +425,7 @@ def cmd_check(args) -> int:
         return EXIT_IO
     delta = args.delta
     if delta is None:
-        delta = float(header["config"].get("delta", 0.05))
+        delta = _delta(header["config"])
     failures = 0
     bounds = verify_bound(cert, delta)
     labels = {"type1": "N₀", "type2": "N₁"}

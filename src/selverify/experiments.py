@@ -7,11 +7,14 @@ reactive streams go through the engine so final decisions can feed back,
 and so does any stream without `take`. Either path records
 only the sequential state of each round (score, latent label, exploration
 flag, thresholds after the round), and `_kernel.derive_columns` derives
-the other trace columns from it for both. The ledger and the claim
-checks are one fold over column chunks (`_Certificate`), so `simulate`
-can run the kernel and `check` can read a file a chunk at a time. Sweeps
-evaluate a grid of error targets plus the two baseline anchors, with
-stream seeds shared across targets and anchors so comparisons are paired.
+the other trace columns from it for both. One driver, `_kernel_chunks`,
+runs the kernel over blocks of scores and labels: a run in memory is one
+block, `simulate` a block per 4,096 rounds. One reader, `_record_chunks`,
+parses round records into column chunks, which `check` folds and
+`Trace.from_records` joins. The ledger and the claim checks are one fold
+over column chunks (`_Certificate`). Sweeps evaluate a grid of error
+targets plus the two baseline anchors, with stream seeds shared across
+targets and anchors so comparisons are paired.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ __all__ = [
     "run",
     "run_rep",
     "recompute_ledger",
-    "error_curves",
     "verify_bound",
     "check_claims",
     "sweep_point",
@@ -144,14 +146,12 @@ _COLUMNS = (
 )
 _KEYS = tuple(c.key for c in _COLUMNS)
 # Rows per chunk when records are made from the columns (written or
-# yielded) and when the columns are filled from decoded records. Filling
-# transposes the chunk's decoded dicts into columns, so its chunk is kept
-# small enough for them to stay in cache; each size measured fastest for
-# its direction on a 100k-round trace.
+# yielded), and records per step when the columns are filled from decoded
+# records. Filling transposes the step's decoded dicts into columns, so the
+# step is kept small enough for them to stay in cache; each size measured
+# fastest for its direction on a 100k-round trace.
 _CHUNK_OUT = 1 << 11
 _CHUNK_IN = 1 << 9
-# Rows per fold of the records a certificate is made from.
-_FOLD_ROWS = 1 << 12
 
 # Channel tags for per-repetition seed derivation. Stream seeds do not
 # depend on the policy settings, so runs at different targets (and the
@@ -181,12 +181,12 @@ class RunSpec:
     seed_base: int = 0
 
     def __post_init__(self):
-        if self.horizon is not None and self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.seed_base < 0:
-            raise ValueError(f"seed_base must be nonnegative, got {self.seed_base}")
+        for name, low in (("horizon", 1), ("repetitions", 1), ("seed_base", 0)):
+            v = getattr(self, name)
+            if name == "horizon" and v is None:
+                continue
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
 
 
 @dataclass
@@ -234,28 +234,12 @@ class Trace:
 
     @staticmethod
     def from_records(config: dict, records: Iterable[dict]) -> "Trace":
-        """Rebuild a trace from round records, taken a chunk at a time into
-        column arrays that double in size when full and are cut to length
-        in place at the end."""
-        cols = _empty_columns(0)
-        n = 0
-        records = iter(records)
-        while chunk := list(itertools.islice(records, _CHUNK_IN)):
-            end = n + len(chunk)
-            if end > len(cols["t"]):
-                size = max(2 * n, end)
-                for attr, a in cols.items():
-                    # unlike ndarray.resize, which zero-fills, this leaves rows n: untouched
-                    cols[attr] = np.empty(size, a.dtype)
-                    cols[attr][:n] = a[:n]
-            _fill(cols, n, chunk)
-            n = end
-            del chunk  # let its records go before the next chunk is decoded
-        for a in cols.values():
-            a.resize(n, refcheck=False)
-        trace = Trace(config=config, ledger=ErrorLedger(), **cols)
-        trace.ledger = recompute_ledger(trace)
-        return trace
+        """Rebuild a trace from round records: `_record_chunks` parses them
+        into column chunks, which are joined a column at a time, so that
+        only one column's chunks outlive their join."""
+        chunks = list(_record_chunks(records))
+        cols = {attr: np.concatenate([c.pop(attr) for c in chunks]) for attr in list(chunks[0])}
+        return _trace(config, cols)
 
 
 # The columns in the key order of the JSON lines, with the text that joins
@@ -280,19 +264,26 @@ def _write_rows(fh: TextIO, cols: dict) -> None:
         fh.write("\n".join(map("".join, zip(*cells))) + "\n")
 
 
-def _empty_columns(n: int) -> dict:
-    return {c.attr: np.empty(n, c.dtype) for c in _COLUMNS}
-
-
-def _fill(cols: dict, n: int, chunk: list) -> None:
-    """Parse the round records `chunk` into rows n: of the columns `cols`.
-    Raises KeyError, TypeError or OverflowError on a record that is not
-    one."""
-    end = n + len(chunk)
-    for c, vals in zip(_REQUIRED, zip(*map(_GET_REQUIRED, chunk))):
-        cols[c.attr][n:end] = c.parse(vals)
-    for c in _OPTIONAL:
-        cols[c.attr][n:end] = c.parse([rec[c.key] if c.key in rec else -1 for rec in chunk])
+def _record_chunks(records: Iterable[dict]) -> Iterator[dict]:
+    """The columns of round records (`Trace` attribute -> array), a fresh
+    chunk of `_kernel._CHUNK` rows at a time; the last chunk is short, and
+    empty if the records end with a full one. The records are taken
+    `_CHUNK_IN` at a time. Raises KeyError, TypeError or OverflowError on
+    a record that is not one."""
+    records = iter(records)
+    size = n = _kernel._CHUNK
+    while n == size:  # until a chunk comes out short
+        cols = {c.attr: np.empty(size, c.dtype) for c in _COLUMNS}
+        n = 0
+        while n < size and (chunk := list(itertools.islice(records, min(_CHUNK_IN, size - n)))):
+            end = n + len(chunk)
+            for c, vals in zip(_REQUIRED, zip(*map(_GET_REQUIRED, chunk))):
+                cols[c.attr][n:end] = c.parse(vals)
+            for c in _OPTIONAL:
+                cols[c.attr][n:end] = c.parse([rec[c.key] if c.key in rec else -1 for rec in chunk])
+            n = end
+            del chunk  # let its records go before the next ones are decoded
+        yield cols if n == size else {attr: a[:n] for attr, a in cols.items()}
 
 
 # Every finite float64 is an integer multiple of 2**-1074.
@@ -456,21 +447,13 @@ class _Certificate:
 
 
 def _fold_records(config: dict, records: Iterable[dict]) -> _Certificate:
-    """The certificate of round records, parsed as `Trace.from_records`
-    parses them into a column buffer of `_FOLD_ROWS` rows that is folded
-    each time it fills, so memory does not grow with the records."""
+    """The certificate of round records, folded a chunk at a time as
+    `_record_chunks` parses them, so memory does not grow with the
+    records."""
     cert = _Certificate(config)
-    buf = _empty_columns(_FOLD_ROWS)
-    n = 0
-    records = iter(records)
-    while chunk := list(itertools.islice(records, min(_CHUNK_IN, _FOLD_ROWS - n))):
-        _fill(buf, n, chunk)
-        n += len(chunk)
-        del chunk  # let its records go before the next chunk is decoded
-        if n == _FOLD_ROWS:
-            cert.add(buf)
-            n = 0
-    return cert.add({attr: a[:n] for attr, a in buf.items()})
+    for cols in _record_chunks(records):
+        cert.add(cols)
+    return cert
 
 
 def recompute_ledger(trace: Trace) -> ErrorLedger:
@@ -497,53 +480,61 @@ def _columns(w, g_latent, cols, start: int = 1) -> dict:
     }
 
 
-def _trace(echo: dict, w, g_latent, cols, outcome=None) -> Trace:
-    """The trace of a run from its scores, its latent labels and the
-    columns `_kernel.derive_columns` returns."""
-    named = _columns(w, g_latent, cols)
-    ledger = _Certificate(echo, ledger_only=True).add(named).ledger
-    return Trace(config=echo, ledger=ledger, outcome=outcome, **named)
+def _trace(config: dict, cols: dict, outcome=None) -> Trace:
+    """The trace with the columns `cols` (`Trace` attribute -> array) and
+    the ledger folded from them."""
+    ledger = _Certificate(config, ledger_only=True).add(cols).ledger
+    return Trace(config=config, ledger=ledger, outcome=outcome, **cols)
 
 
-def _kernel_args(config: PolicyConfig) -> tuple:
-    return (config.alpha, config.beta, config.eta, config.q_accept, config.q_reject)
-
-
-def _run_kernel(config: PolicyConfig, stream, horizon: Optional[int], echo: dict) -> Trace:
-    # without a horizon a finite stream is read to its end
-    w, g = stream.take(sys.maxsize if horizon is None else horizon)
-    w = np.asarray(w, np.float64)
-    g = np.asarray(g, np.int64)
-    u = np.random.default_rng(config.seed).random(w.size)
-    *cols, _ = _kernel.run_rounds(
-        w, g, u, *_kernel_args(config), config.tau_reject_init, config.tau_accept_init
-    )
-    return _trace(echo, w, g, cols)
-
-
-def _kernel_chunks(config: PolicyConfig, stream, horizon: Optional[int]) -> Iterator[dict]:
-    """The columns of `_run_kernel`'s run, `_kernel._CHUNK` rounds at a
-    time. Each chunk takes its scores from the stream, tops the unused
-    uniforms up from the policy's generator and starts the kernel from the
-    thresholds the chunk before ended at, so the chunks join to the same
-    bits as one run."""
+def _kernel_chunks(config: PolicyConfig, blocks: Iterable[tuple]) -> Iterator[dict]:
+    """The columns of the policy's run over `(scores, labels)` blocks, a
+    chunk per block. Each block is checked as the engine checks a round,
+    tops the unused exploration uniforms up from the policy's generator and
+    starts the kernel from the thresholds the block before ended at, so the
+    chunks join to the same bits as one block of every round."""
+    args = (config.alpha, config.beta, config.eta, config.q_accept, config.q_reject)
     rng = np.random.default_rng(config.seed)
     u = np.empty(0)
     tr, ta = config.tau_reject_init, config.tau_accept_init
-    done = 0
-    while horizon is None or done < horizon:
-        n = _kernel._CHUNK if horizon is None else min(_kernel._CHUNK, horizon - done)
-        w, g = stream.take(n)
-        if not w.size:
-            break
+    start = 1
+    for w, g in blocks:
         w = np.asarray(w, np.float64)
         g = np.asarray(g, np.int64)
-        u = np.concatenate([u, rng.random(max(0, w.size - u.size))])
-        *cols, used = _kernel.run_rounds(w, g, u, *_kernel_args(config), tr, ta)
+        bad = ~((w >= 0.0) & (w <= 1.0))  # also true for NaN
+        if bad.any():
+            raise ValueError(f"weak score must be in [0, 1], got {float(w[bad][0])}")
+        bad = (g != 0) & (g != 1)
+        if bad.any():
+            raise ValueError(f"strong label must be 0 or 1, got {int(g[bad][0])!r}")
+        if u.size < w.size:
+            drawn = rng.random(w.size - u.size)
+            u = np.concatenate([u, drawn]) if u.size else drawn  # a first block copies none
+        *cols, used = _kernel.run_rounds(w, g, u, *args, tr, ta)
         u = u[used:]
-        tr, ta = float(cols[-2][-1]), float(cols[-1][-1])
-        yield _columns(w, g, cols, done + 1)
-        done += w.size
+        if w.size:
+            tr, ta = float(cols[-2][-1]), float(cols[-1][-1])
+        yield _columns(w, g, cols, start)
+        start += w.size
+
+
+def _takes(stream, horizon: Optional[int]) -> Iterator[tuple]:
+    """The stream's `(scores, labels)` in `_kernel._CHUNK`-round `take`s,
+    up to the horizon, or to the end of the stream if that comes first or
+    there is no horizon."""
+    done = 0
+    while horizon is None or done < horizon:
+        w, g = stream.take(_kernel._CHUNK if horizon is None else min(_kernel._CHUNK, horizon - done))
+        if not len(w):
+            return
+        yield w, g
+        done += len(w)
+
+
+def _run_kernel(config: PolicyConfig, stream, horizon: Optional[int], echo: dict) -> Trace:
+    # one take: without a horizon a finite stream is read to its end
+    (cols,) = _kernel_chunks(config, [stream.take(sys.maxsize if horizon is None else horizon)])
+    return _trace(echo, cols)
 
 
 def _run_engine(config: PolicyConfig, stream, horizon: Optional[int], echo: dict) -> Trace:
@@ -599,7 +590,7 @@ def _run_engine(config: PolicyConfig, stream, horizon: Optional[int], echo: dict
         config.tau_reject_init,
         config.tau_accept_init,
     )
-    return _trace(echo, w, g_latent, cols, outcome)
+    return _trace(echo, _columns(w, g_latent, cols), outcome)
 
 
 def _kernel_path(stream: VerifierStream, horizon: Optional[int], force_engine: bool = False) -> bool:
@@ -666,24 +657,6 @@ def _rep_setup(spec: RunSpec, rep: int) -> tuple[PolicyConfig, VerifierStream, d
 def run_rep(spec: RunSpec, rep: int, force_engine: bool = False) -> Trace:
     config, stream, echo = _rep_setup(spec, rep)
     return run_one(config, stream, spec.horizon, force_engine=force_engine, echo=echo)
-
-
-def error_curves(trace: Trace) -> dict:
-    """Running prefix averages of the two policy error rates.
-
-    Entry t is the error rate over rounds 1..t+1; prefixes with an empty
-    denominator report 0.
-    """
-    g0 = (trace.g_latent == 0).astype(np.float64)
-    g1 = (trace.g_latent == 1).astype(np.float64)
-    fa = ((trace.action == ACTION_ACCEPT) & (trace.g_latent == 0)).astype(np.float64)
-    fr = ((trace.action == ACTION_REJECT) & (trace.g_latent == 1)).astype(np.float64)
-    n0 = np.cumsum(g0)
-    n1 = np.cumsum(g1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        c1 = np.where(n0 > 0, np.cumsum(fa) / np.maximum(n0, 1.0), 0.0)
-        c2 = np.where(n1 > 0, np.cumsum(fr) / np.maximum(n1, 1.0), 0.0)
-    return {"type1": c1, "type2": c2, "n0": n0.astype(np.int64), "n1": n1.astype(np.int64)}
 
 
 def verify_bound(trace: Trace, delta: float = 0.05) -> dict:

@@ -78,7 +78,8 @@ class PolicyConfig:
     beta : float
         Target rate of rejecting correct items, in (0, 1).
     eta : float
-        Step size for threshold updates, > 0.
+        Step size for threshold updates, > 0, with a finite
+        eta / min(q_accept, q_reject).
     q_accept, q_reject : float
         Exploration probability of escalating anyway from the accept /
         reject region, in (0, 1].
@@ -102,12 +103,14 @@ class PolicyConfig:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must be in (0, 1), got {v}")
-        if not self.eta > 0.0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
         for name in ("q_accept", "q_reject"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
+        # every update stays in the band [-eta/q_min, 1 + eta/q_min], so a
+        # finite band keeps the thresholds finite
+        if not (self.eta > 0.0 and math.isfinite(self.eta / self.q_min)):
+            raise ValueError(f"eta must be positive with eta / q_min finite, got {self.eta}")
         for name in ("tau_reject_init", "tau_accept_init"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

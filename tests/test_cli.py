@@ -279,6 +279,26 @@ def test_an_endless_stream_without_a_horizon_writes_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [tmp_path / "sim.json"]
 
 
+@pytest.mark.parametrize("field, value, rule", [
+    *[("horizon", v, "an integer >= 1") for v in (10000.0, True, "100")],
+    *[("delta", v, "a number in (0, 1)") for v in (1.5, 0, "0.05", True, None)],
+])
+def test_a_bad_count_or_delta_is_refused_before_any_round_runs(
+    tmp_path, capsys, monkeypatch, field, value, rule
+):
+    cfg = write_config(tmp_path, "sim.json", {
+        "policy": POLICY, "stream": UNIFORM_STREAM, "horizon": 100, "seed_base": 0, field: value,
+    })
+
+    def no_rounds(*args):
+        raise AssertionError("a round ran")
+
+    monkeypatch.setattr(experiments._kernel, "run_rounds", no_rounds)
+    assert main(["simulate", "-c", cfg, "-o", str(tmp_path / "t.jsonl")]) == EXIT_VALIDATION
+    assert f"{field} must be {rule}, got {value!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "sim.json"]
+
+
 def test_simulate_and_check_never_import_scipy(tmp_path):
     # scipy serves only the population quadrature; loading it costs a
     # one-shot command most of its start-up time

@@ -3,6 +3,7 @@ serialization, bound and claim checks, sweep determinism."""
 
 import dataclasses
 import io
+import itertools
 import json
 from fractions import Fraction
 
@@ -30,7 +31,6 @@ from selverify import (
     VerifierStream,
     check_claims,
     derive_seed,
-    error_curves,
     make_stream,
     preset_drift,
     preset_math_like,
@@ -295,6 +295,23 @@ class TestEngineKernelAgreement:
         def spec_dict(self):
             return {"kind": "scripted"}
 
+    class Taking(Scripted):
+        """A non-reactive `Scripted` that draws arrays too, so that it takes
+        the kernel path."""
+
+        def __init__(self, items):
+            super().__init__(items, reactive=False)
+
+        def take(self, n):
+            items = list(itertools.islice(self._items, n))
+            return (np.array([i.w for i in items], np.float64),
+                    np.array([i.g_latent for i in items], np.int64))
+
+    def scripted(self, items, path):
+        """`items` as a stream that runs on the engine, on the engine
+        reacting, or on the kernel."""
+        return self.Taking(items) if path == "kernel" else self.Scripted(items, path == "reactive")
+
     @pytest.mark.parametrize("horizon", [3_000, None])
     def test_a_stream_with_only_the_documented_methods_runs(self, horizon):
         # non-reactive and without `take`, so it takes the engine path
@@ -310,22 +327,22 @@ class TestEngineKernelAgreement:
         assert_traces_equal(trace, ref)
         assert_matches_reference(trace, reference_engine(cfg, self.Scripted(items, False), horizon))
 
-    @pytest.mark.parametrize("reactive", [False, True])
+    @pytest.mark.parametrize("path", ["engine", "reactive", "kernel"])
     @pytest.mark.parametrize("w", [float("nan"), -0.1, 1.5])
-    def test_the_engine_refuses_a_bad_score(self, w, reactive):
+    def test_the_engine_refuses_a_bad_score(self, w, path):
         # after an uncertain, an accepted and a rejected round
         items = [StreamItem(0.5, 1), StreamItem(0.95, 1), StreamItem(0.05, 0), StreamItem(w, 1)]
-        stream = self.Scripted(items, reactive)
-        with pytest.raises(ValueError, match="weak score"):
-            run_one(config(q_accept=1e-9, q_reject=1e-9), stream, force_engine=True, echo={})
+        stream = self.scripted(items, path)
+        with pytest.raises(ValueError, match=rf"weak score must be in \[0, 1\], got {w}"):
+            run_one(config(q_accept=1e-9, q_reject=1e-9), stream, echo={})
 
-    @pytest.mark.parametrize("reactive", [False, True])
+    @pytest.mark.parametrize("path", ["engine", "reactive", "kernel"])
     @pytest.mark.parametrize("w", [0.5, 0.95, 0.05])
-    def test_the_engine_refuses_a_strong_label_outside_0_1(self, w, reactive):
+    def test_the_engine_refuses_a_strong_label_outside_0_1(self, w, path):
         # an uncertain round, or a decisive one that always explores
-        stream = self.Scripted([StreamItem(0.5, 1), StreamItem(w, 2)], reactive)
-        with pytest.raises(ValueError, match="strong label"):
-            run_one(config(q_accept=1.0, q_reject=1.0), stream, force_engine=True, echo={})
+        stream = self.scripted([StreamItem(0.5, 1), StreamItem(w, 2)], path)
+        with pytest.raises(ValueError, match="strong label must be 0 or 1, got 2"):
+            run_one(config(q_accept=1.0, q_reject=1.0), stream, echo={})
 
     def test_array_containers_equal_list_containers(self, monkeypatch):
         # without numba, njit is the identity, so this runs the array branch
@@ -398,13 +415,23 @@ class TestSeeds:
         with pytest.raises(ValueError):
             run_rep(spec, -1)
 
-    def test_runspec_validation(self):
-        with pytest.raises(ValueError):
-            RunSpec(policy=config(), stream={}, horizon=0)
-        with pytest.raises(ValueError):
-            RunSpec(policy=config(), stream={}, repetitions=0)
-        with pytest.raises(ValueError):
-            RunSpec(policy=config(), stream={}, seed_base=-1)
+    @pytest.mark.parametrize("field, value", [
+        ("horizon", 0),
+        ("repetitions", 0),
+        ("seed_base", -1),
+        # a float horizon used to fail later as a raw TypeError of a slice,
+        # and True ran one round
+        *[(f, v) for f in ("horizon", "repetitions", "seed_base") for v in (10.0, 2.5, True, "3")],
+        ("repetitions", None),
+        ("seed_base", None),
+    ])
+    def test_runspec_validation(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= "):
+            RunSpec(policy=config(), stream={}, **{field: value})
+
+    def test_runspec_takes_numpy_integers(self):
+        spec = RunSpec(policy=config(), stream={}, horizon=np.int64(5), seed_base=np.uint32(2))
+        assert spec.horizon == 5 and spec.seed_base == 2
 
 
 class TestTraceSerialization:
@@ -442,7 +469,7 @@ class TestTraceSerialization:
         trace = uniform_run(horizon=50)
         rebuilt = Trace.from_records(trace.config, (rec for rec in trace.iter_records()))
         assert_traces_equal(trace, rebuilt)
-        # the columns grew past their first chunk and were cut in place
+        # each column owns its data: none is a view of a chunk buffer
         for col in TRACE_COLUMNS:
             assert getattr(rebuilt, col).flags.owndata, col
         empty = Trace.from_records(trace.config, iter(()))
@@ -452,25 +479,6 @@ class TestTraceSerialization:
         trace = uniform_run(horizon=300)
         for rec, action in zip(trace.iter_records(), trace.action):
             assert ("g_observed" in rec) == (action == SV)
-
-
-class TestErrorCurves:
-    def test_final_prefix_matches_ledger(self):
-        trace = uniform_run(horizon=3_000)
-        curves = error_curves(trace)
-        assert curves["type1"].size == 3_000
-        assert curves["type1"][-1] == pytest.approx(trace.ledger.err_type1())
-        assert curves["type2"][-1] == pytest.approx(trace.ledger.err_type2())
-        assert curves["n0"][-1] == trace.ledger.n0
-        assert curves["n1"][-1] == trace.ledger.n1
-
-    def test_empty_denominators_report_zero(self):
-        trace = run_one(
-            config(), CalibratedStream(PointMass(1.0), seed=0), horizon=100
-        )
-        curves = error_curves(trace)
-        assert np.all(curves["type1"] == 0.0)
-        assert curves["n0"][-1] == 0
 
 
 class TestVerifyBound:

@@ -1,5 +1,7 @@
 """Policy unit tests: hand-traced updates, protocol discipline, invariants."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,13 +10,17 @@ from hypothesis import strategies as st
 from selverify import _kernel
 from selverify import (
     Action,
+    CalibratedStream,
     PolicyConfig,
     ProtocolError,
     Region,
     Thresholds,
+    UniformDist,
     VerificationPolicy,
+    check_claims,
     classify,
     final_decision,
+    run_one,
 )
 
 
@@ -306,6 +312,10 @@ class TestValidation:
             (dict(alpha=0.0, beta=0.3), "alpha"),
             (dict(alpha=0.2, beta=1.0), "beta"),
             (dict(alpha=0.2, beta=0.3, eta=0.0), "eta"),
+            # a band [-eta/q_min, 1 + eta/q_min] that is not finite: the
+            # kernel wrote NaN thresholds at eta=inf and inf at eta=1e308
+            (dict(alpha=0.2, beta=0.3, eta=math.inf), "eta"),
+            (dict(alpha=0.2, beta=0.3, eta=1e308, q_accept=0.1), "eta"),
             (dict(alpha=0.2, beta=0.3, q_accept=0.0), "q_accept"),
             (dict(alpha=0.2, beta=0.3, q_reject=1.2), "q_reject"),
             (dict(alpha=0.2, beta=0.3, tau_accept_init=1.5), "tau_accept_init"),
@@ -315,6 +325,14 @@ class TestValidation:
     def test_errors_name_the_field(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
             PolicyConfig(**kwargs)
+
+    @pytest.mark.parametrize("eta, q", [(1e307, 0.1), (1e308, 1.0)])
+    def test_an_eta_with_a_finite_band_keeps_the_thresholds_finite(self, eta, q):
+        cfg = PolicyConfig(alpha=0.2, beta=0.3, eta=eta, q_accept=q, q_reject=q)
+        trace = run_one(cfg, CalibratedStream(UniformDist(), seed=0), horizon=2_000)
+        taus = np.concatenate([trace.tau_r_after, trace.tau_a_after])
+        assert np.isfinite(taus).all()
+        assert check_claims(trace)["pass"]
 
     def test_crossed_initial_thresholds(self):
         with pytest.raises(ValueError):
