@@ -182,11 +182,15 @@ class RunSpec:
 
     def __post_init__(self):
         for name, low in (("horizon", 1), ("repetitions", 1), ("seed_base", 0)):
-            v = getattr(self, name)
-            if name == "horizon" and v is None:
-                continue
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+            if not (name == "horizon" and self.horizon is None):
+                _check_count(name, getattr(self, name), low)
+
+
+def _check_count(name: str, v, low: int) -> None:
+    """Raise ValueError unless `v` is an integer >= low; a bool or a float
+    is not one."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
 
 
 @dataclass
@@ -403,6 +407,24 @@ class _Certificate:
         if self._first is None:
             self._first = (float(tau_r[0]), float(tau_a[0]))
         self._last = (float(tau_r_after[-1]), float(tau_a_after[-1]))
+        return self
+
+    def merge(self, later: "_Certificate") -> "_Certificate":
+        """Fold in `later`, the certificate of the rounds that follow these:
+        the result is the one a single fold over all the rounds gives."""
+        led, other = self.ledger, later.ledger
+        for f in dataclasses.fields(ErrorLedger):
+            setattr(led, f.name, getattr(led, f.name) + getattr(other, f.name))
+        self._units = [a + b for a, b in zip(self._units, later._units)]
+        self._special = [a + b for a, b in zip(self._special, later._special)]
+        self._lo = float(np.min([self._lo, later._lo]))
+        self._hi = float(np.max([self._hi, later._hi]))
+        self._neg_zero |= later._neg_zero
+        self._pos_zero |= later._pos_zero
+        if self._first is None:
+            self._first = later._first
+        if later._last is not None:
+            self._last = later._last
         return self
 
     def claims(self) -> dict:
@@ -777,8 +799,8 @@ def sweep_point(
     Self-contained given its arguments, so rows can be computed in any
     order or split across processes and still match a serial sweep.
     """
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    _check_count("repetitions", repetitions, 1)
+    _check_count("seed_base", seed_base, 0)
     probe = make_stream(stream_spec)
     if not probe.reactive:
         raise ValueError("sweeps need a task stream with per-problem outcomes")

@@ -120,7 +120,9 @@ class PolicyConfig:
                 f"tau_reject_init {self.tau_reject_init} exceeds "
                 f"tau_accept_init {self.tau_accept_init}"
             )
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+        if isinstance(self.seed, bool) or not (
+            isinstance(self.seed, (int, np.integer)) and self.seed >= 0
+        ):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     @property

@@ -1,12 +1,15 @@
 """Command-line surface: file formats, override handling, exit codes."""
 
+import functools
 import hashlib
 import importlib.util
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +285,9 @@ def test_an_endless_stream_without_a_horizon_writes_nothing(tmp_path, capsys):
 @pytest.mark.parametrize("field, value, rule", [
     *[("horizon", v, "an integer >= 1") for v in (10000.0, True, "100")],
     *[("delta", v, "a number in (0, 1)") for v in (1.5, 0, "0.05", True, None)],
+    # read as they are, not truncated: 1.0 would have run repetition 1
+    *[("rep", v, "an integer >= 0") for v in (1.0, True, -1, "1")],
+    *[("seed_base", v, "an integer >= 0") for v in (1.5, 2.0, False)],
 ])
 def test_a_bad_count_or_delta_is_refused_before_any_round_runs(
     tmp_path, capsys, monkeypatch, field, value, rule
@@ -320,6 +326,23 @@ def test_simulate_and_check_never_import_scipy(tmp_path):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [EXIT_OK, EXIT_OK], "scipy": []}
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # check forks its workers with os.fork; a pool module would add to the
+    # start-up time of every command
+    script = (
+        "import json, sys\n"
+        "import selverify.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.partition('.')[0] == 'multiprocessing'\n"
+        "                        or m.startswith('concurrent.'))))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(selverify.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def _vm_hwm_kb():
@@ -461,6 +484,22 @@ class TestSweep:
         cfg = write_config(tmp_path, "sweep.json", d)
         assert main(["sweep", "-c", cfg, "-o", str(tmp_path / "s.csv")]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("field, value, rule", [
+        *[("repetitions", v, "an integer >= 1") for v in (2.0, True, 0)],
+        *[("seed_base", v, "an integer >= 0") for v in (1.5, True)],
+    ])
+    def test_a_bad_count_is_refused_before_any_run(
+        self, tmp_path, capsys, monkeypatch, field, value, rule
+    ):
+        def no_runs(*args, **kw):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(experiments, "run_one", no_runs)
+        cfg = write_config(tmp_path, "sweep.json", {**sweep_cfg_dict(), field: value})
+        assert main(["sweep", "-c", cfg, "-o", str(tmp_path / "s.csv")]) == EXIT_VALIDATION
+        assert f"{field} must be {rule}, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
 
 class TestPointRows:
     def test_round_trip_preserves_every_field(self):
@@ -599,6 +638,22 @@ class TestCheck:
         trace = self.make_trace(tmp_path)
         assert main(["check", str(trace), "--delta", "0.01"]) == EXIT_OK
 
+    @pytest.mark.parametrize("delta", ["1.5", "nan", "0"])
+    def test_a_bad_delta_flag_is_refused_before_the_file_is_opened(
+        self, tmp_path, capsys, monkeypatch, delta
+    ):
+        trace = self.make_trace(tmp_path)
+
+        def no_reading(*args, **kw):
+            raise AssertionError("the trace was read")
+
+        monkeypatch.setattr(cli, "_parse_trace_file", no_reading)
+        for path in (str(trace), str(tmp_path / "missing.jsonl")):
+            capsys.readouterr()
+            assert main(["check", path, "--delta", delta]) == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err == f"error: --delta must be a number in (0, 1), got {float(delta)!r}\n"
+
     def test_garbage_trace_is_an_io_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{not json\n")
@@ -705,8 +760,9 @@ class TestCheck:
         lambda cfg: cfg["policy"].update(eta=0),
         lambda cfg: cfg["policy"].pop("q_accept"),
         lambda cfg: cfg.update(delta="x"),
+        lambda cfg: cfg["policy"].update(seed=True),
     ], ids=["no_policy", "eta_not_a_number", "eta_zero", "policy_lacks_a_key",
-            "delta_not_a_number"])
+            "delta_not_a_number", "seed_a_bool"])
     def test_bad_header_config_is_an_io_error(self, tmp_path, capsys, edit):
         trace = self.make_trace(tmp_path)
         lines = trace.read_text().splitlines()
@@ -742,11 +798,34 @@ def long_trace_lines(tmp_path_factory):
     return out.read_text().splitlines()
 
 
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def run_check(path, lines, capsys):
+    """Exit code and output of `check` on a file of `lines`. They, and the
+    header, certificate and summary, must not depend on how many byte
+    ranges the file is folded in, and no worker process may outlive it."""
     path.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    code = main(["check", str(path)])
-    return code, capsys.readouterr()
+    parse = cli._parse_trace_file
+    runs = []
+    try:
+        for n in (1, 2, 3):
+            cli._parse_trace_file = functools.partial(parse, ranges=n)
+            capsys.readouterr()
+            runs.append((main(["check", str(path)]), capsys.readouterr()))
+            assert_no_children()
+    finally:
+        cli._parse_trace_file = parse
+    assert runs[1:] == runs[:1] * 2, runs
+    if runs[0][0] != EXIT_IO:
+        header, cert, summary = parse(str(path), ranges=1)
+        for n in (2, 3):
+            other = parse(str(path), ranges=n)
+            assert (other[0], other[2]) == (header, summary)
+            assert_same_certificate(other[1], cert)
+    return runs[0]
 
 
 def _cut_short(rec):
@@ -774,6 +853,8 @@ class TestStreamedCheck:
         assert code == EXIT_IO
         assert out.out == ""
         assert out.err.startswith("error: malformed trace: ") and "Traceback" not in out.err
+        if spoil is _cut_short:  # the file line, wherever the range it lies in starts
+            assert out.err.startswith(f"error: malformed trace: line {round_index + 1}: ")
 
     def test_a_file_without_its_summary(self, tmp_path, capsys, long_trace_lines):
         code, honest = run_check(tmp_path / "a.jsonl", long_trace_lines, capsys)
@@ -819,6 +900,119 @@ class TestStreamedCheck:
         assert f"'sum': {want!r}," in line
         assert line.endswith("FAIL" if want != -np.inf else "PASS")
         assert code == (EXIT_OK if want == -np.inf else EXIT_CHECK_FAILED)
+
+
+def _crlf(lines):
+    return [line + "\r" for line in lines]
+
+
+def _blank_after_every_line(lines):
+    # every cut falls just before or just after a blank line
+    return [x for i, line in enumerate(lines) for x in (line, " \t" if i % 2 else "")]
+
+
+def _blank_megabytes_in_the_middle(lines):
+    # 4 MB of blank lines between the two halves of the records: split in
+    # three, the middle range holds no value
+    return lines[:5_000] + [" " * 999] * 4_000 + lines[5_000:]
+
+
+def _blank_lines_at_the_end(lines):
+    return lines + ["", "  ", ""]
+
+
+def _blank_megabytes_at_the_end(lines):
+    # the last ranges hold no value: the summary is held back two ranges
+    # before the end of the file
+    return lines + [" " * 999] * 4_000
+
+
+class TestRangedCheck:
+    """`check` folds the byte ranges of a file in parallel processes."""
+
+    @pytest.mark.parametrize("edit", [
+        _crlf, _blank_after_every_line, _blank_megabytes_in_the_middle,
+        _blank_lines_at_the_end, _blank_megabytes_at_the_end,
+        lambda lines: _crlf(_blank_after_every_line(lines)),
+    ], ids=["crlf", "blank_after_every_line", "blank_megabytes_in_the_middle",
+            "blank_lines_at_the_end", "blank_megabytes_at_the_end", "crlf_and_blank_lines"])
+    def test_line_endings_and_blank_lines_at_the_cuts(self, tmp_path, capsys, long_trace_lines, edit):
+        _, honest = run_check(tmp_path / "a.jsonl", long_trace_lines, capsys)
+        code, out = run_check(tmp_path / "b.jsonl", edit(list(long_trace_lines)), capsys)
+        assert (code, out.out) == (EXIT_OK, honest.out)
+
+    def test_a_killed_worker_is_a_read_error(self, tmp_path, capsys, monkeypatch, long_trace_lines):
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join(long_trace_lines) + "\n")
+        parent, fold = os.getpid(), cli._fold_range
+
+        def fold_or_die(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return fold(*args)
+
+        monkeypatch.setattr(cli, "_fold_range", fold_or_die)
+        monkeypatch.setattr(cli, "_parse_trace_file", functools.partial(cli._parse_trace_file, ranges=2))
+        capsys.readouterr()
+        assert main(["check", str(path)]) == EXIT_IO
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            "error: cannot read trace: the process reading part of the file "
+            f"ended by signal {int(signal.SIGKILL)}\n"
+        )
+        assert_no_children()
+
+    def test_a_deeply_nested_last_value_crosses_the_pipe(self, tmp_path, capsys, long_trace_lines):
+        # pickle recurses deeper than json: a worker sends its last line's
+        # text, which the last record, with no summary after it, shows
+        rec = json.loads(long_trace_lines[-2])
+        rec["note"] = json.loads("[" * 600 + "]" * 600)
+        lines = long_trace_lines[:-2] + [json.dumps(rec)]
+        _, honest = run_check(tmp_path / "a.jsonl", long_trace_lines[:-1], capsys)
+        code, out = run_check(tmp_path / "b.jsonl", lines, capsys)
+        assert (code, out.out) == (EXIT_OK, honest.out)
+
+    def test_a_failed_fork_folds_the_range_here(self, tmp_path, capsys, monkeypatch, long_trace_lines):
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        lines = list(long_trace_lines)
+        _, honest = run_check(tmp_path / "a.jsonl", lines, capsys)
+        lines[9_990] = _cut_short(lines[9_990])
+        _, bad = run_check(tmp_path / "b.jsonl", lines, capsys)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert run_check(tmp_path / "a.jsonl", long_trace_lines, capsys) == (EXIT_OK, honest)
+        assert run_check(tmp_path / "b.jsonl", lines, capsys) == (EXIT_IO, bad)
+        assert bad.err.startswith("error: malformed trace: line 9991: ")
+
+    def test_a_pipe_is_read_through_by_one_process(self, tmp_path, capsys, long_trace_lines):
+        _, honest = run_check(tmp_path / "a.jsonl", long_trace_lines, capsys)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "w") as fh:
+                fh.write("\n".join(long_trace_lines) + "\n")
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            assert main(["check", str(fifo)]) == EXIT_OK
+        finally:
+            writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert capsys.readouterr() == honest
+        assert_no_children()
+
+    def test_the_range_count(self, monkeypatch):
+        size = 3 * cli._MIN_RANGE_BYTES
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        assert [cli._range_count(k * size // 3) for k in (0, 1, 2, 3, 9)] == [1, 1, 2, 3, 4]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # taskset -c 0
+        assert cli._range_count(size) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli._range_count(size) == 1
 
 
 def per_line_parse(path):
@@ -930,16 +1124,17 @@ class TestChunkedDecoding:
         ref_header, ref_trace, ref_summary = per_line_parse(str(path))
         assert header == ref_header and summary == ref_summary
         assert_same_certificate(cert, experiments._Certificate.of(ref_trace))
-        # the records the chunks decode to, gathered into one trace
-        traces = []
+        # the records the chunks decode to, over every fold, in one trace
+        gathered = []
 
         def gather(config, records):
-            traces.append(Trace.from_records(config, records))
-            return experiments._Certificate.of(traces[-1])
+            records = list(records)
+            gathered.extend(records)
+            return experiments._fold_records(config, records)
 
         monkeypatch.setattr(cli, "_fold_records", gather)
         cli._parse_trace_file(str(path))
-        trace, = traces
+        trace = Trace.from_records(header["config"], gathered)
         assert len(trace) == len(ref_trace)
         for c in experiments._COLUMNS:
             a, b = getattr(trace, c.attr), getattr(ref_trace, c.attr)

@@ -320,6 +320,8 @@ class TestValidation:
             (dict(alpha=0.2, beta=0.3, q_reject=1.2), "q_reject"),
             (dict(alpha=0.2, beta=0.3, tau_accept_init=1.5), "tau_accept_init"),
             (dict(alpha=0.2, beta=0.3, seed=-1), "seed"),
+            (dict(alpha=0.2, beta=0.3, seed=True), "seed"),
+            (dict(alpha=0.2, beta=0.3, seed=1.0), "seed"),
         ],
     )
     def test_errors_name_the_field(self, kwargs, field):
