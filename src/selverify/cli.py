@@ -14,6 +14,12 @@ is set.
 
 Exit codes: 0 success / all checks pass, 1 check failure, 2 I/O or parse
 error, 3 validation error.
+
+simulate and check run in parallel forked processes, one per CPU this
+process may run on (`_process_count`): simulate formats ranges of rounds
+in workers that write them in file order, check folds byte ranges of the
+file in workers and merges their certificates. Output, verdicts and exit
+codes do not depend on the number of processes.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import sys
 import tempfile
 from typing import Iterator, Optional, TextIO
 
-from . import __version__, kernel_backend
+from . import __version__, _kernel, kernel_backend
 from .distributions import dist_from_dict
 from .experiments import (
     ParetoPoint,
@@ -91,6 +97,15 @@ _DECODE_CHUNK = 512
 # rounds) was checked faster than by one process in 25 of 25 alternated
 # runs, a 2 MiB file in 19 of 25, and a 1 MiB file in 1 of 25.
 _MIN_RANGE_BYTES = 2 << 20
+# Rounds of `simulate` per forked writer, in `_kernel._CHUNK` blocks. A
+# writer holds its range's text, about 1 MB per block. Medians of 10
+# alternated fresh-process runs on the 100k-round `trace_io` seed-1
+# config (25 blocks), shared 2-core host: 0.65 s in one process; 0.46 s
+# with 4 blocks per writer, 0.45 s with 10, 0.42 s with 13, 0.48 s with
+# 16, 0.58 s with 20. At 1M rounds: 6.5 s in one process; 5.3 s with 4,
+# 4.6 s with 8, 4.2 s with 13, 4.1 s with 24, where a writer peaks at
+# 54 MB against 43 MB with 13.
+_RANGE_CHUNKS = 13
 
 
 def _dumps(obj) -> str:
@@ -174,6 +189,134 @@ def _delta(config: dict, what: str = "delta") -> float:
     return delta
 
 
+def _process_count() -> int:
+    """How many processes `simulate` or `check` may run at once: one per
+    CPU this process may run on, and one where processes cannot be
+    forked. So `taskset -c 0` runs either command in one process."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork(work) -> Optional[tuple[int, int]]:
+    """Fork a process that runs `work(wfd)`, where `wfd` is the write end
+    of a pipe that only it holds, and ends, with exit code 0 if `work`
+    returned and 1 if it raised. Returns its pid and the pipe's read end,
+    or None where no process can be forked."""
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        return None
+    if pid:
+        os.close(wfd)
+        return pid, rfd
+    code = 1
+    try:
+        os.close(rfd)
+        work(wfd)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _wait(pid: int, what: str) -> Optional[ChildProcessError]:
+    """Wait for the process `pid` to end. Returns None if it exited 0,
+    else an error that says how the process `what` ended."""
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code == 0:
+        return None
+    how = f"signal {-code}" if code < 0 else f"exit code {code}"
+    return ChildProcessError(f"the process {what} ended by {how}")
+
+
+def _reap(pids: list, what: str, keep: int = 0) -> None:
+    """Wait for the first of the processes `pids` and take it off the
+    list, until `keep` are left; raise the error of the first that
+    failed."""
+    errors = []
+    while len(pids) > keep:
+        errors.append(_wait(pids.pop(0), what))
+    for exc in filter(None, errors):
+        raise exc
+
+
+def _kill(pids) -> None:
+    """Stop the processes `pids`; the caller still waits for them."""
+    import signal  # not with the package: only a failed command needs it
+
+    for pid in pids:
+        os.kill(pid, signal.SIGKILL)
+
+
+def _write_range(fd: int, chunks, prev: Optional[int]) -> None:
+    """Format the rows of the column `chunks`, read the pipe `prev` (if
+    any) to its end, which comes once the writer before has exited, and
+    only then write the rows to `fd`."""
+    buf = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
+    for cols in chunks:
+        _write_rows(buf, cols)
+    buf.flush()
+    if prev is not None:
+        with open(prev, "rb") as pipe:
+            pipe.read()
+    data = buf.buffer.getbuffer()
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def _fork_range(fd: int, chunks, prev: Optional[int]) -> Optional[tuple[int, int]]:
+    """`_fork` a process that runs `_write_range(fd, chunks, prev)`: its
+    successor reads the end of its pipe."""
+    started = _fork(lambda wfd: _write_range(fd, chunks, prev))
+    if started and prev is not None:
+        os.close(prev)
+    return started
+
+
+def _write_chunks(fh: TextIO, chunks, cert: _Certificate, procs: int) -> None:
+    """Write the rows of the column `chunks` to `fh` and fold them into
+    `cert`, in order.
+
+    With `procs` > 1 this process only folds. At the start of each range
+    of `_RANGE_CHUNKS` chunks it forks a writer, which runs on from the
+    chunk generator's state there, formats its range and writes it once
+    the writer before it has exited, so the rows land in file order. At
+    most `procs` writers run at once. Where no process can be forked,
+    this process writes the rest itself, after the writers before it."""
+    chunks = iter(chunks)
+    fh.flush()  # a writer must not inherit buffered text
+    workers, prev, what = [], None, "writing part of the trace"
+    try:
+        for k, cols in enumerate(chunks):
+            if procs > 1 and k % _RANGE_CHUNKS == 0:
+                _reap(workers, what, keep=procs - 1)
+                rest = itertools.islice(chunks, _RANGE_CHUNKS - 1)
+                started = _fork_range(fh.fileno(), itertools.chain([cols], rest), prev)
+                if started is None:
+                    procs = 1
+                    _reap(workers, what)
+                    fh.seek(0, os.SEEK_END)
+                else:
+                    pid, prev = started
+                    workers.append(pid)
+            if procs == 1:
+                _write_rows(fh, cols)
+            cert.add(cols)
+        _reap(workers, what)
+    except BaseException:
+        _kill(workers)
+        for pid in workers:
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        if prev is not None:
+            os.close(prev)
+    fh.seek(0, os.SEEK_END)
+
+
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     _apply_overrides(cfg, args.set)
@@ -190,8 +333,13 @@ def cmd_simulate(args) -> int:
         seed_base=cfg.get("seed_base", 0),
     )
     config, stream, echo = _rep_setup(spec, rep)
+    procs = 1
     if _kernel_path(stream, spec.horizon):
         chunks = _kernel_chunks(config, _takes(stream, spec.horizon))
+        # a run of one range is written here: a writer would only add a fork
+        known = [n for n in (spec.horizon, getattr(stream, "total_length", None)) if n is not None]
+        if not known or min(known) > _RANGE_CHUNKS * _kernel._CHUNK:
+            procs = _process_count()
     else:
         # task runs are short: they run in memory and are written as one chunk
         chunks = [vars(run_rep(spec, rep))]
@@ -201,9 +349,7 @@ def cmd_simulate(args) -> int:
     out = _resolve_output(args.output, "trace.jsonl")
     with _atomic_write(out) as fh:
         fh.write(_dumps({"config": echo, "version": __version__}) + "\n")
-        for cols in chunks:
-            _write_rows(fh, cols)
-            cert.add(cols)
+        _write_chunks(fh, chunks, cert, procs)
         bounds = verify_bound(cert, delta)
         m = _summary_metrics(cert.ledger)
         fh.write(_dumps({"metrics": m, "bounds": bounds}) + "\n")
@@ -343,6 +489,8 @@ def _decode_line(line: str, lineno: int):
         return json.loads(line)
     except json.JSONDecodeError as exc:
         raise _LineError(lineno, f"{exc.msg} (column {exc.pos + 1})") from None
+    except RecursionError:
+        raise _LineError(lineno, "nested too deeply to decode") from None
 
 
 def _decode_lines(lines: list, first: int) -> list:
@@ -419,12 +567,9 @@ def _range_lines(fd: int, start: int, end: int) -> TextIO:
 
 
 def _range_count(size: int) -> int:
-    """How many processes fold a trace file of `size` bytes: one per CPU
-    this process may run on, each with `_MIN_RANGE_BYTES` or more, and one
-    where processes cannot be forked."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), size // _MIN_RANGE_BYTES))
+    """How many processes fold a trace file of `size` bytes: up to
+    `_process_count`, each with `_MIN_RANGE_BYTES` or more."""
+    return max(1, min(_process_count(), size // _MIN_RANGE_BYTES))
 
 
 def _range_starts(fd: int, lo: int, size: int, n: int) -> list[int]:
@@ -478,24 +623,12 @@ def _fork_part(fd: int, start: int, end: int, config: dict) -> tuple:
     """Fork a process that writes `_fold_part` of the bytes [start, end)
     of `fd` back, pickled. Returns its pid and the pipe to read that from,
     or, where no process can be forked, None and `_fold_part` itself."""
-    rfd, wfd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(rfd)
-        os.close(wfd)
-        return None, _fold_part(fd, start, end, config)
-    if pid:
-        os.close(wfd)
-        return pid, rfd
-    code = 1
-    try:
-        os.close(rfd)
+
+    def work(wfd):
         with open(wfd, "wb") as out:
             pickle.dump(_fold_part(fd, start, end, config), out)
-        code = 0
-    finally:
-        os._exit(code)
+
+    return _fork(work) or (None, _fold_part(fd, start, end, config))
 
 
 def _join(pid: Optional[int], got) -> tuple:
@@ -507,11 +640,8 @@ def _join(pid: Optional[int], got) -> tuple:
         with open(got, "rb") as pipe:
             data = pipe.read()
     finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code == 0 and data:
-        return pickle.loads(data)
-    how = f"signal {-code}" if code < 0 else f"exit code {code}"
-    return None, ChildProcessError(f"the process reading part of the file ended by {how}")
+        exc = _wait(pid, "reading part of the file")
+    return (None, exc) if exc else pickle.loads(data)
 
 
 def _parse_trace_file(
@@ -559,11 +689,7 @@ def _parse_trace_file(
                 parts.append(_fork_part(fd, start, end, config))
             first = _fold_range(config, lines, lineno + 1)
         except BaseException:
-            import signal  # not with the package: only a failed check needs it
-
-            for pid, _ in parts:
-                if pid is not None:
-                    os.kill(pid, signal.SIGKILL)
+            _kill(pid for pid, _ in parts if pid is not None)
             raise
         finally:
             joined = [_join(*part) for part in parts]

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import os
 import signal
@@ -223,12 +224,34 @@ GOLDEN_TRACES = {
 }
 
 
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def simulate_bytes(tmp_path, monkeypatch, cfg: dict) -> bytes:
+    """The file `simulate` writes for `cfg`. It must not depend on how many
+    processes write it or how many rounds each writes, and no writer may
+    outlive the command: it is run as it is, then with ranges of one and
+    two 4,096-round chunks and the process count forced to 1, 2 and 3."""
+    argv = ["simulate", "-c", write_config(tmp_path, "sim.json", cfg), "-o", str(tmp_path / "trace.jsonl")]
+    runs = []
+    for setting in [None, *itertools.product((1, 2), (1, 2, 3))]:
+        with monkeypatch.context() as m:
+            if setting is not None:
+                m.setattr(cli, "_RANGE_CHUNKS", setting[0])
+                m.setattr(cli, "_process_count", lambda: setting[1])
+            assert main(argv) == EXIT_OK
+        assert_no_children()
+        runs.append((tmp_path / "trace.jsonl").read_bytes())
+    assert runs[1:] == runs[:1] * (len(runs) - 1)
+    return runs[0]
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_TRACES))
-def test_simulate_output_bytes_are_pinned(tmp_path, name):
+def test_simulate_output_bytes_are_pinned(tmp_path, monkeypatch, name):
     cfg, digest = GOLDEN_TRACES[name]
-    out = tmp_path / "trace.jsonl"
-    assert main(["simulate", "-c", write_config(tmp_path, "sim.json", cfg), "-o", str(out)]) == EXIT_OK
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert hashlib.sha256(simulate_bytes(tmp_path, monkeypatch, cfg)).hexdigest() == digest
 
 
 def in_memory_file(cfg: dict) -> bytes:
@@ -266,11 +289,125 @@ UNEVEN_DRIFT = {
     ({**POLICY, "tau_reject_init": -0.0}, UNEVEN_DRIFT, None),
     ({**POLICY, "tau_reject_init": -0.0}, UNEVEN_DRIFT, 8_193),
 ], ids=["1", "4095", "4096", "4097", "12289", "drift", "drift_neg_zero", "drift_prefix"])
-def test_streamed_simulate_writes_the_in_memory_run(tmp_path, policy, stream, horizon):
+def test_streamed_simulate_writes_the_in_memory_run(tmp_path, monkeypatch, policy, stream, horizon):
     cfg = {"policy": policy, "stream": stream, "horizon": horizon, "seed_base": 11}
-    out = tmp_path / "trace.jsonl"
-    assert main(["simulate", "-c", write_config(tmp_path, "sim.json", cfg), "-o", str(out)]) == EXIT_OK
-    assert out.read_bytes() == in_memory_file(cfg)
+    assert simulate_bytes(tmp_path, monkeypatch, cfg) == in_memory_file(cfg)
+
+
+class TestRangedSimulate:
+    """`simulate` formats ranges of rounds in parallel forked writers."""
+
+    # six chunks, the last of 17 rounds
+    CONFIG = {"policy": POLICY, "stream": UNIFORM_STREAM, "horizon": 5 * 4_096 + 17, "seed_base": 4}
+
+    def run(self, tmp_path, capsys):
+        """Exit code and output of `simulate` on CONFIG, which must leave
+        no child process and no descriptor open."""
+        cfg = write_config(tmp_path, "sim.json", self.CONFIG)
+        capsys.readouterr()
+        fds = sorted(os.listdir("/dev/fd"))
+        code = main(["simulate", "-c", cfg, "-o", str(tmp_path / "trace.jsonl")])
+        assert_no_children()
+        assert sorted(os.listdir("/dev/fd")) == fds
+        return code, capsys.readouterr()
+
+    @pytest.fixture
+    def honest(self):
+        return in_memory_file(self.CONFIG)
+
+    @pytest.fixture(autouse=True)
+    def ranges_of_two_chunks(self, monkeypatch):
+        monkeypatch.setattr(cli, "_RANGE_CHUNKS", 2)
+        monkeypatch.setattr(cli, "_process_count", lambda: 2)
+
+    def test_a_killed_writer_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        parent, write_range = os.getpid(), cli._write_range
+
+        def write_or_die(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return write_range(*args)
+
+        monkeypatch.setattr(cli, "_write_range", write_or_die)
+        code, out = self.run(tmp_path, capsys)
+        assert code == EXIT_IO
+        assert out.err.splitlines()[-1:] == [
+            f"error: the process writing part of the trace ended by signal {int(signal.SIGKILL)}"
+        ]
+        assert "Traceback" not in out.err and out.out == ""
+        assert list(tmp_path.iterdir()) == [tmp_path / "sim.json"]
+
+    def test_no_more_writers_run_at_once_than_processes(self, tmp_path, capsys, monkeypatch, honest):
+        monkeypatch.setattr(cli, "_RANGE_CHUNKS", 1)  # six writers
+        fork, wait = cli._fork, cli._wait
+        live, most = set(), []
+
+        def counted_fork(work):
+            started = fork(work)
+            live.add(started[0])
+            most.append(len(live))
+            return started
+
+        def counted_wait(pid, what):
+            live.discard(pid)
+            return wait(pid, what)
+
+        monkeypatch.setattr(cli, "_fork", counted_fork)
+        monkeypatch.setattr(cli, "_wait", counted_wait)
+        assert self.run(tmp_path, capsys)[0] == EXIT_OK
+        assert (len(most), max(most)) == (6, 2)
+        assert (tmp_path / "trace.jsonl").read_bytes() == honest
+
+    @pytest.mark.parametrize("forks", [0, 1, 2], ids=["first", "second", "third"])
+    def test_a_failed_fork_writes_the_rest_here(self, tmp_path, capsys, monkeypatch, honest, forks):
+        fork, calls = os.fork, itertools.count()
+
+        def fork_until(*args):
+            if next(calls) >= forks:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_until)
+        assert self.run(tmp_path, capsys)[0] == EXIT_OK
+        assert next(calls) == forks + 1
+        assert (tmp_path / "trace.jsonl").read_bytes() == honest
+
+    @pytest.mark.parametrize("chunk", [0, 3, 5], ids=["first_range", "middle_range", "last_range"])
+    def test_a_bad_score_in_a_later_range_is_refused(self, tmp_path, capsys, monkeypatch, chunk):
+        rep_setup = cli._rep_setup
+
+        def setup_with_a_nan(spec, rep):
+            config, stream, echo = rep_setup(spec, rep)
+            take, done = stream.take, [0]
+
+            def take_with_a_nan(n):
+                w, g = take(n)
+                if done[0] == chunk * 4_096:
+                    w = w.copy()
+                    w[len(w) // 2] = np.nan
+                done[0] += len(w)
+                return w, g
+
+            stream.take = take_with_a_nan
+            return config, stream, echo
+
+        monkeypatch.setattr(cli, "_rep_setup", setup_with_a_nan)
+        code, out = self.run(tmp_path, capsys)
+        assert code == EXIT_VALIDATION
+        assert out.err.splitlines()[-1] == "error: weak score must be in [0, 1], got nan"
+        assert list(tmp_path.iterdir()) == [tmp_path / "sim.json"]
+
+    def test_a_run_of_one_range_forks_no_writer(self, tmp_path, capsys, monkeypatch, honest):
+        def no_fork():
+            raise AssertionError("a writer was forked")
+
+        monkeypatch.setattr(cli, "_RANGE_CHUNKS", 6)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert self.run(tmp_path, capsys)[0] == EXIT_OK
+        assert (tmp_path / "trace.jsonl").read_bytes() == honest
+        monkeypatch.setattr(cli, "_RANGE_CHUNKS", 5)
+        with pytest.raises(AssertionError, match="a writer was forked"):
+            self.run(tmp_path, capsys)
 
 
 def test_an_endless_stream_without_a_horizon_writes_nothing(tmp_path, capsys):
@@ -328,21 +465,30 @@ def test_simulate_and_check_never_import_scipy(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [EXIT_OK, EXIT_OK], "scipy": []}
 
 
-def test_importing_the_cli_loads_no_process_pool():
-    # check forks its workers with os.fork; a pool module would add to the
-    # start-up time of every command
+def test_importing_the_cli_loads_no_process_pool(tmp_path):
+    # simulate and check fork their workers with os.fork; a pool module
+    # would add to the start-up time of every command
+    cfg = write_config(tmp_path, "sim.json", {
+        "policy": POLICY, "stream": preset_drift(10_000, seed=0), "horizon": None, "seed_base": 3,
+    })
     script = (
-        "import json, sys\n"
+        "import contextlib, io, json, sys\n"
         "import selverify.cli\n"
-        "print(json.dumps(sorted(m for m in sys.modules\n"
-        "                        if m.partition('.')[0] == 'multiprocessing'\n"
-        "                        or m.startswith('concurrent.'))))\n"
+        "def pools():\n"
+        "    return sorted(m for m in sys.modules if m.partition('.')[0] == 'multiprocessing'\n"
+        "                  or m.startswith('concurrent.'))\n"
+        "imported = pools()\n"
+        "selverify.cli._process_count = lambda: 2\n"
+        "selverify.cli._RANGE_CHUNKS = 1\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    code = selverify.cli.main(['simulate', '-c', {cfg!r}, '-o', {str(tmp_path / 't.jsonl')!r}])\n"
+        "print(json.dumps({'imported': imported, 'code': code, 'simulated': pools()}))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(selverify.__file__).parent.parent)}
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"imported": [], "code": EXIT_OK, "simulated": []}
 
 
 def _vm_hwm_kb():
@@ -385,19 +531,22 @@ def test_check_peak_memory_stays_near_the_columns(tmp_path):
     assert res["growth_kb"] * 1024 < 1.8 * column_bytes
 
 
-def _command_growth_kb(argv) -> int:
+def _command_growth_kb(argv) -> tuple[int, int]:
     """VmHWM growth of one command in a fresh interpreter, from just after
-    the import."""
+    the import, and the peak resident set of its largest worker, with two
+    processes whatever the host has."""
     script = (
-        "import contextlib, io, json\n"
+        "import contextlib, io, json, resource\n"
         "import selverify.cli\n"
+        "selverify.cli._process_count = lambda: 2\n"
         "def hwm():\n"
         "    with open('/proc/self/status') as fh:\n"
         "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
         "before = hwm()\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         f"    code = selverify.cli.main({argv!r})\n"
-        "print(json.dumps({'code': code, 'growth_kb': hwm() - before}))\n"
+        "worker_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+        "print(json.dumps({'code': code, 'growth_kb': hwm() - before, 'worker_kb': worker_kb}))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(selverify.__file__).parent.parent)}
     proc = subprocess.run(
@@ -405,13 +554,15 @@ def _command_growth_kb(argv) -> int:
     )
     res = json.loads(proc.stdout.splitlines()[-1])
     assert res["code"] == EXIT_OK
-    return res["growth_kb"]
+    assert res["worker_kb"] > 0  # a worker ran
+    return res["growth_kb"], res["worker_kb"]
 
 
 @pytest.mark.skipif(_vm_hwm_kb() is None, reason="no VmHWM in /proc/self/status")
 def test_memory_does_not_grow_with_the_horizon(tmp_path):
-    # simulate and check hold one chunk of rounds at a time, so three
-    # times the rounds take the same peak
+    # simulate and check hold one chunk of rounds at a time, and each of
+    # their workers one range, so three times the rounds take the same
+    # peaks
     growth = {}
     for rounds in (100_000, 300_000):
         cfg = write_config(tmp_path, f"sim{rounds}.json", {
@@ -420,8 +571,8 @@ def test_memory_does_not_grow_with_the_horizon(tmp_path):
         })
         out = str(tmp_path / f"trace{rounds}.jsonl")
         growth[rounds] = (
-            _command_growth_kb(["simulate", "-c", cfg, "-o", out]),
-            _command_growth_kb(["check", out]),
+            *_command_growth_kb(["simulate", "-c", cfg, "-o", out]),
+            *_command_growth_kb(["check", out]),
         )
     for short, long in zip(growth[100_000], growth[300_000]):
         assert long - short < 3 * 1024, growth
@@ -798,11 +949,6 @@ def long_trace_lines(tmp_path_factory):
     return out.read_text().splitlines()
 
 
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def run_check(path, lines, capsys):
     """Exit code and output of `check` on a file of `lines`. They, and the
     header, certificate and summary, must not depend on how many byte
@@ -1006,13 +1152,28 @@ class TestRangedCheck:
         assert_no_children()
 
     def test_the_range_count(self, monkeypatch):
+        # check and simulate run as many processes as _process_count says
         size = 3 * cli._MIN_RANGE_BYTES
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        assert cli._process_count() == 4
         assert [cli._range_count(k * size // 3) for k in (0, 1, 2, 3, 9)] == [1, 1, 2, 3, 4]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # taskset -c 0
-        assert cli._range_count(size) == 1
+        assert (cli._process_count(), cli._range_count(size)) == (1, 1)
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork")
+            m.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+            assert (cli._process_count(), cli._range_count(size)) == (1, 1)
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert cli._range_count(size) == 1
+        assert (cli._process_count(), cli._range_count(size)) == (1, 1)
+
+    @pytest.mark.parametrize("index", [100, 9_990], ids=["first_range", "last_range"])
+    def test_a_line_nested_too_deeply_is_malformed(self, tmp_path, capsys, long_trace_lines, index):
+        # json.loads raises RecursionError on it, not JSONDecodeError
+        lines = list(long_trace_lines)
+        lines[index] = "[" * 100_000 + "]" * 100_000
+        code, out = run_check(tmp_path / "t.jsonl", lines, capsys)
+        assert code == EXIT_IO and out.out == ""
+        assert out.err == f"error: malformed trace: line {index + 1}: nested too deeply to decode\n"
 
 
 def per_line_parse(path):
