@@ -15,24 +15,30 @@ is set.
 Exit codes: 0 success / all checks pass, 1 check failure, 2 I/O or parse
 error, 3 validation error.
 
-simulate and check run in parallel forked processes, one per CPU this
-process may run on (`_process_count`): simulate formats ranges of rounds
-in workers that write them in file order, check folds byte ranges of the
-file in workers and merges their certificates. Output, verdicts and exit
-codes do not depend on the number of processes.
+simulate and check run in parallel forked processes, up to one per CPU
+this process may run on (`_process_count`), through one helper,
+`_in_order`: simulate formats ranges of rounds in workers, check folds
+byte ranges of the file in workers. A worker keeps its result in its own
+memory and hands the bytes back through a pipe; the command process
+alone writes the file or merges the certificates, in order. Where a fork
+fails, the command process runs that share and every later one itself.
+Output, verdicts and exit codes do not depend on the number of processes.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import json
 import os
 import pickle
+import shutil
 import stat
 import sys
 import tempfile
@@ -97,14 +103,14 @@ _DECODE_CHUNK = 512
 # rounds) was checked faster than by one process in 25 of 25 alternated
 # runs, a 2 MiB file in 19 of 25, and a 1 MiB file in 1 of 25.
 _MIN_RANGE_BYTES = 2 << 20
-# Rounds of `simulate` per forked writer, in `_kernel._CHUNK` blocks. A
-# writer holds its range's text, about 1 MB per block. Medians of 10
-# alternated fresh-process runs on the 100k-round `trace_io` seed-1
-# config (25 blocks), shared 2-core host: 0.65 s in one process; 0.46 s
-# with 4 blocks per writer, 0.45 s with 10, 0.42 s with 13, 0.48 s with
-# 16, 0.58 s with 20. At 1M rounds: 6.5 s in one process; 5.3 s with 4,
-# 4.6 s with 8, 4.2 s with 13, 4.1 s with 24, where a writer peaks at
-# 54 MB against 43 MB with 13.
+# Rounds of `simulate` per forked worker, in `_kernel._CHUNK` blocks. A
+# worker holds its range's text, about 1 MB per block. Medians of 10
+# alternated fresh-process runs on the 100k-round `trace_io` seed-1 config
+# (25 blocks), shared 2-core host, each worker writing its own range to
+# the file: 0.65 s in one process; 0.46 s with 4 blocks per worker, 0.45 s
+# with 10, 0.42 s with 13, 0.48 s with 16, 0.58 s with 20. At 1M rounds:
+# 6.5 s in one process; 5.3 s with 4, 4.6 s with 8, 4.2 s with 13, 4.1 s
+# with 24, where a worker peaks at 54 MB against 43 MB with 13.
 _RANGE_CHUNKS = 13
 
 
@@ -198,11 +204,11 @@ def _process_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _fork(work) -> Optional[tuple[int, int]]:
-    """Fork a process that runs `work(wfd)`, where `wfd` is the write end
-    of a pipe that only it holds, and ends, with exit code 0 if `work`
-    returned and 1 if it raised. Returns its pid and the pipe's read end,
-    or None where no process can be forked."""
+def _fork(work) -> Optional[tuple[int, io.FileIO]]:
+    """Fork a process that runs `work(out)` on an in-memory binary file,
+    writes what `out` then holds to a pipe and ends, with exit code 0 if
+    all that succeeded and 1 if not. Returns its pid and the pipe's read
+    end, or None where no process can be forked."""
     rfd, wfd = os.pipe()
     try:
         pid = os.fork()
@@ -212,109 +218,112 @@ def _fork(work) -> Optional[tuple[int, int]]:
         return None
     if pid:
         os.close(wfd)
-        return pid, rfd
+        return pid, open(rfd, "rb", buffering=0)
     code = 1
     try:
         os.close(rfd)
-        work(wfd)
+        out = io.BytesIO()
+        work(out)
+        with open(wfd, "wb") as pipe:
+            pipe.write(out.getbuffer())
         code = 0
     finally:
         os._exit(code)
 
 
-def _wait(pid: int, what: str) -> Optional[ChildProcessError]:
-    """Wait for the process `pid` to end. Returns None if it exited 0,
-    else an error that says how the process `what` ended."""
+def _wait(pid: int, what: str) -> None:
+    """Wait for the process `pid` to end. Unless it exited 0, raise an
+    error that says how the process `what` ended."""
     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code == 0:
-        return None
-    how = f"signal {-code}" if code < 0 else f"exit code {code}"
-    return ChildProcessError(f"the process {what} ended by {how}")
+    if code:
+        how = f"signal {-code}" if code < 0 else f"exit code {code}"
+        raise ChildProcessError(f"the process {what} ended by {how}")
 
 
-def _reap(pids: list, what: str, keep: int = 0) -> None:
-    """Wait for the first of the processes `pids` and take it off the
-    list, until `keep` are left; raise the error of the first that
-    failed."""
-    errors = []
-    while len(pids) > keep:
-        errors.append(_wait(pids.pop(0), what))
-    for exc in filter(None, errors):
-        raise exc
+@contextlib.contextmanager
+def _in_order(works, procs: int, what: str) -> Iterator[Iterator]:
+    """Run the callables `work(out)` of `works`, each of which writes its
+    result to the binary file `out`, and yield an iterator of functions
+    `copy(dest)`, one per work and in its order, each of which writes that
+    work's result to the binary file `dest`; call each before the next.
+
+    A work is taken from `works` just before it starts, so it runs on from
+    the state the works before it left. With `procs` > 1 up to `procs`
+    works run at once, each in a process of its own (`_fork`): `copy`
+    copies the bytes from its pipe and then waits for it (`_wait`). Where
+    `procs` is 1, and from the first fork that fails on, `copy` runs the
+    work itself. No process outlives the block."""
+    works, started = iter(works), collections.deque()
+
+    def copy(dest) -> None:
+        pid, got = started[0]
+        if pid is None:
+            started.popleft()
+            got(dest)
+            return
+        with got:
+            shutil.copyfileobj(got, dest)
+        started.popleft()
+        _wait(pid, what)
+
+    def copies():
+        nonlocal procs
+        while True:
+            while len(started) < procs and (work := next(works, None)) is not None:
+                got = _fork(work) if procs > 1 else None
+                if got is None:
+                    procs, got = 1, (None, work)
+                started.append(got)
+            if not started:
+                return
+            yield copy
+
+    try:
+        yield copies()
+    finally:
+        for pid, got in started:  # left by a failed command
+            if pid is not None:
+                import signal  # not with the package: only a failed command needs it
+
+                # kill before waiting: the processes forked later hold this
+                # pipe's read end too, so closing it does not stop the writer
+                os.kill(pid, signal.SIGKILL)
+                got.close()
+                os.waitpid(pid, 0)
 
 
-def _kill(pids) -> None:
-    """Stop the processes `pids`; the caller still waits for them."""
-    import signal  # not with the package: only a failed command needs it
-
-    for pid in pids:
-        os.kill(pid, signal.SIGKILL)
-
-
-def _write_range(fd: int, chunks, prev: Optional[int]) -> None:
-    """Format the rows of the column `chunks`, read the pipe `prev` (if
-    any) to its end, which comes once the writer before has exited, and
-    only then write the rows to `fd`."""
-    buf = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
-    for cols in chunks:
-        _write_rows(buf, cols)
-    buf.flush()
-    if prev is not None:
-        with open(prev, "rb") as pipe:
-            pipe.read()
-    data = buf.buffer.getbuffer()
-    while data:
-        data = data[os.write(fd, data):]
-
-
-def _fork_range(fd: int, chunks, prev: Optional[int]) -> Optional[tuple[int, int]]:
-    """`_fork` a process that runs `_write_range(fd, chunks, prev)`: its
-    successor reads the end of its pipe."""
-    started = _fork(lambda wfd: _write_range(fd, chunks, prev))
-    if started and prev is not None:
-        os.close(prev)
-    return started
+def _format_range(chunks, cert: _Certificate, out) -> None:
+    """Write the rows of the column `chunks` to the binary file `out` and
+    fold them into `cert`."""
+    text = io.TextIOWrapper(out, encoding="utf-8", newline="")
+    try:
+        for cols in chunks:
+            _write_rows(text, cols)
+            cert.add(cols)
+    finally:
+        text.detach()
 
 
 def _write_chunks(fh: TextIO, chunks, cert: _Certificate, procs: int) -> None:
     """Write the rows of the column `chunks` to `fh` and fold them into
-    `cert`, in order.
-
-    With `procs` > 1 this process only folds. At the start of each range
-    of `_RANGE_CHUNKS` chunks it forks a writer, which runs on from the
-    chunk generator's state there, formats its range and writes it once
-    the writer before it has exited, so the rows land in file order. At
-    most `procs` writers run at once. Where no process can be forked,
-    this process writes the rest itself, after the writers before it."""
+    `cert`, in order: one `_in_order` work formats each range of
+    `_RANGE_CHUNKS` chunks. A work that runs in a process of its own runs
+    on from the chunk generator's state at the start of its range; this
+    process folds that range as it takes the next work, and copies the
+    rows into `fh`, so it alone writes the file."""
     chunks = iter(chunks)
-    fh.flush()  # a writer must not inherit buffered text
-    workers, prev, what = [], None, "writing part of the trace"
-    try:
-        for k, cols in enumerate(chunks):
-            if procs > 1 and k % _RANGE_CHUNKS == 0:
-                _reap(workers, what, keep=procs - 1)
-                rest = itertools.islice(chunks, _RANGE_CHUNKS - 1)
-                started = _fork_range(fh.fileno(), itertools.chain([cols], rest), prev)
-                if started is None:
-                    procs = 1
-                    _reap(workers, what)
-                    fh.seek(0, os.SEEK_END)
-                else:
-                    pid, prev = started
-                    workers.append(pid)
-            if procs == 1:
-                _write_rows(fh, cols)
-            cert.add(cols)
-        _reap(workers, what)
-    except BaseException:
-        _kill(workers)
-        for pid in workers:
-            os.waitpid(pid, 0)
-        raise
-    finally:
-        if prev is not None:
-            os.close(prev)
-    fh.seek(0, os.SEEK_END)
+
+    def works():
+        for cols in chunks:
+            rows = itertools.chain([cols], itertools.islice(chunks, _RANGE_CHUNKS - 1))
+            yield functools.partial(_format_range, rows, cert)
+            for cols in rows:  # none are left where the work ran here
+                cert.add(cols)
+
+    fh.flush()  # the rows go to its buffer, after the text written so far
+    with _in_order(works(), procs, "writing part of the trace") as copies:
+        for copy in copies:
+            copy(fh.buffer)
 
 
 def cmd_simulate(args) -> int:
@@ -336,7 +345,7 @@ def cmd_simulate(args) -> int:
     procs = 1
     if _kernel_path(stream, spec.horizon):
         chunks = _kernel_chunks(config, _takes(stream, spec.horizon))
-        # a run of one range is written here: a writer would only add a fork
+        # a run of one range is formatted here: a worker would only add a fork
         known = [n for n in (spec.horizon, getattr(stream, "total_length", None)) if n is not None]
         if not known or min(known) > _RANGE_CHUNKS * _kernel._CHUNK:
             procs = _process_count()
@@ -422,8 +431,11 @@ def cmd_population(args) -> int:
     dist = dist_from_dict(cfg["score_dist"])
     alpha0 = float(cfg["alpha0"])
     alpha1 = float(cfg["alpha1"])
-    calibrated = bool(cfg.get("calibrated", False))
-    atoms = int(cfg.get("atoms", 1001))
+    calibrated = cfg.get("calibrated", False)
+    if not isinstance(calibrated, bool):
+        raise ValueError(f"calibrated must be true or false, got {calibrated!r}")
+    atoms = cfg.get("atoms", 1001)
+    _check_count("atoms", atoms, 2)
     lines = []
     worst_gap = 0.0
     worst_tol = 0.0
@@ -587,12 +599,13 @@ def _range_starts(fd: int, lo: int, size: int, n: int) -> list[int]:
     return sorted(start for start in starts if start < size)
 
 
-def _fold_range(config: dict, lines, first: int) -> tuple[_Certificate, list]:
-    """The certificate of the values of the non-blank `lines`, the first
-    of which is line `first`, but the last, and a list holding the text of
-    that last line (empty if there is none): the caller decides whether it
-    is the summary or a record."""
+def _fold_range(config: dict, lines) -> tuple[_Certificate, list]:
+    """The certificate of the values of the non-blank `lines` but the last,
+    and a list holding the text of that last line (empty if there is
+    none): the caller decides whether it is the summary or a record. A
+    `_LineError` numbers the lines from 1."""
     tail = []  # the last non-blank line so far, and its value
+    first = 1
 
     def held_chunks():
         nonlocal first
@@ -607,41 +620,19 @@ def _fold_range(config: dict, lines, first: int) -> tuple[_Certificate, list]:
     return _fold_records(config, itertools.chain.from_iterable(held_chunks())), tail[:1]
 
 
-def _fold_part(fd: int, start: int, end: int, config: dict) -> tuple:
-    """`_fold_range` of the bytes [start, end) of `fd` and None, or None
-    and the exception it raised, which names the line in the file."""
+def _fold_part(config: dict, lines, skipped, out) -> None:
+    """Pickle to the binary file `out` the `_fold_range` of `lines` and
+    None, or None and the exception it raised. `skipped()` is the number
+    of lines in the file before `lines`, so that a `_LineError` names the
+    line in the file."""
     try:
-        return _fold_range(config, _range_lines(fd, start, end), 1), None
+        got = _fold_range(config, lines), None
     except Exception as exc:
-        if isinstance(exc, _LineError):  # count the lines before the range
+        if isinstance(exc, _LineError):
             lineno, msg = exc.args
-            exc = _LineError(lineno + sum(1 for _ in _range_lines(fd, 0, start)), msg)
-        return None, exc
-
-
-def _fork_part(fd: int, start: int, end: int, config: dict) -> tuple:
-    """Fork a process that writes `_fold_part` of the bytes [start, end)
-    of `fd` back, pickled. Returns its pid and the pipe to read that from,
-    or, where no process can be forked, None and `_fold_part` itself."""
-
-    def work(wfd):
-        with open(wfd, "wb") as out:
-            pickle.dump(_fold_part(fd, start, end, config), out)
-
-    return _fork(work) or (None, _fold_part(fd, start, end, config))
-
-
-def _join(pid: Optional[int], got) -> tuple:
-    """`_fold_part` of a part `_fork_part` started, once its process has
-    ended, with a ChildProcessError for the exception if the process died."""
-    if pid is None:
-        return got
-    try:
-        with open(got, "rb") as pipe:
-            data = pipe.read()
-    finally:
-        exc = _wait(pid, "reading part of the file")
-    return (None, exc) if exc else pickle.loads(data)
+            exc = _LineError(lineno + skipped(), msg)
+        got = None, exc
+    pickle.dump(got, out)
 
 
 def _parse_trace_file(
@@ -655,11 +646,11 @@ def _parse_trace_file(
 
     The lines after the header are cut into `ranges` byte ranges
     (`_range_count` of the file's size by default), each starting just
-    after a newline. This process folds the first range and a forked
-    process each other one, unless the file is not a regular one (a pipe,
-    say). The certificates are merged in file order, and the last value of
-    each range is folded in its place, except the file's last, which may
-    be the summary."""
+    after a newline; a file that is not a regular one (a pipe, say) is one
+    range. The first range continues the header's reader. Each range is
+    one `_in_order` work, all of them at once, and this process merges
+    their certificates in file order, folding the last value of each range
+    in its place, except the file's last, which may be the summary."""
     with open(path, "rb", buffering=0) as fh:
         fd = fh.fileno()
         st = os.fstat(fd)
@@ -683,24 +674,29 @@ def _parse_trace_file(
             n = _range_count(st.st_size) if ranges is None else ranges
             starts = _range_starts(fd, lines.buffer.pos, st.st_size, n)
             lines.buffer.end = (starts + [st.st_size])[0]
-        parts = []
-        try:
-            for start, end in zip(starts, starts[1:] + [st.st_size]):
-                parts.append(_fork_part(fd, start, end, config))
-            first = _fold_range(config, lines, lineno + 1)
-        except BaseException:
-            _kill(pid for pid, _ in parts if pid is not None)
-            raise
-        finally:
-            joined = [_join(*part) for part in parts]
-    cert, held = first
-    for result, exc in joined:
-        if exc is not None:
-            raise exc
-        later, tail = result
-        if tail:  # a range of blank lines leaves what is held for later
-            cert.merge(_fold_records(config, map(json.loads, held))).merge(later)
-            held = tail
+
+        def later(start: int, end: int):
+            return functools.partial(
+                _fold_part, config, _range_lines(fd, start, end),
+                lambda: sum(1 for _ in _range_lines(fd, 0, start)),
+            )
+
+        works = itertools.chain(
+            [functools.partial(_fold_part, config, lines, lambda: lineno)],
+            itertools.starmap(later, zip(starts, starts[1:] + [st.st_size])),
+        )
+        cert, held = _Certificate(config), []
+        with _in_order(works, len(starts) + 1, "reading part of the file") as copies:
+            for copy in copies:
+                out = io.BytesIO()
+                copy(out)
+                result, exc = pickle.loads(out.getbuffer())
+                if exc is not None:
+                    raise exc
+                part, tail = result
+                if tail:  # a range of blank lines leaves what is held for later
+                    cert.merge(_fold_records(config, map(json.loads, held))).merge(part)
+                    held = tail
     values = [json.loads(line) for line in held]
     summary = None
     if values and isinstance(values[0], dict) and "metrics" in values[0]:
@@ -761,12 +757,10 @@ def cmd_diagnose(args) -> int:
     cfg = _load_config(args.config)
     _apply_overrides(cfg, args.set)
     seed = args.seed if args.seed is not None else cfg.get("seed")
-    report = score_report(
-        cfg["stream"],
-        samples=int(cfg.get("samples", 10**5)),
-        bins=int(cfg.get("bins", 20)),
-        seed=seed,
-    )
+    samples, bins = cfg.get("samples", 10**5), cfg.get("bins", 20)
+    _check_count("samples", samples, 1)
+    _check_count("bins", bins, 1)
+    report = score_report(cfg["stream"], samples=samples, bins=bins, seed=seed)
     out = _resolve_output(args.output, "diagnose.json")
     with _atomic_write(out) as fh:
         fh.write(_dumps(report) + "\n")

@@ -1,5 +1,6 @@
 """Command-line surface: file formats, override handling, exit codes."""
 
+import errno
 import functools
 import hashlib
 import importlib.util
@@ -321,14 +322,14 @@ class TestRangedSimulate:
         monkeypatch.setattr(cli, "_process_count", lambda: 2)
 
     def test_a_killed_writer_leaves_no_file(self, tmp_path, capsys, monkeypatch):
-        parent, write_range = os.getpid(), cli._write_range
+        parent, format_range = os.getpid(), cli._format_range
 
-        def write_or_die(*args):
+        def format_or_die(*args):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return write_range(*args)
+            return format_range(*args)
 
-        monkeypatch.setattr(cli, "_write_range", write_or_die)
+        monkeypatch.setattr(cli, "_format_range", format_or_die)
         code, out = self.run(tmp_path, capsys)
         assert code == EXIT_IO
         assert out.err.splitlines()[-1:] == [
@@ -357,6 +358,29 @@ class TestRangedSimulate:
         assert self.run(tmp_path, capsys)[0] == EXIT_OK
         assert (len(most), max(most)) == (6, 2)
         assert (tmp_path / "trace.jsonl").read_bytes() == honest
+
+    def test_a_failed_write_names_its_reason(self, tmp_path):
+        # the file is written by the simulate process alone, so a write
+        # past RLIMIT_FSIZE fails there with its errno. A worker still
+        # filling its pipe must be killed before it is waited for: the
+        # workers forked after it hold the pipe's read end as well
+        cfg = write_config(tmp_path, "sim.json", self.CONFIG)
+        script = (
+            "import resource, signal, sys\n"
+            "import selverify.cli\n"
+            "selverify.cli._process_count = lambda: 2\n"
+            "selverify.cli._RANGE_CHUNKS = 1\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 18, 1 << 18))\n"
+            f"sys.exit(selverify.cli.main(['simulate', '-c', {cfg!r}, '-o', {str(tmp_path / 't.jsonl')!r}]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(selverify.__file__).parent.parent)}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == EXIT_IO
+        assert proc.stderr.splitlines()[-1] == f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
+        assert list(tmp_path.iterdir()) == [tmp_path / "sim.json"]
 
     @pytest.mark.parametrize("forks", [0, 1, 2], ids=["first", "second", "third"])
     def test_a_failed_fork_writes_the_rest_here(self, tmp_path, capsys, monkeypatch, honest, forks):
@@ -728,13 +752,21 @@ class TestPopulation:
         assert recs[3]["w_star"] == pytest.approx(0.5)
         assert "t_low" not in recs[3]
 
-    def test_miscalibrated_fractions_are_a_validation_error(self, tmp_path):
+    @pytest.mark.parametrize("field, value, message", [
+        ("alpha1", 0.6, "alpha0 + alpha1 must equal 1, got 1.1"),
+        *[("calibrated", v, f"calibrated must be true or false, got {v!r}") for v in ("false", 1)],
+        # read as they are, not truncated: 1.5 would have run 1 atom
+        *[("atoms", v, f"atoms must be an integer >= 2, got {v!r}") for v in (1.5, 1, True, "1001")],
+    ])
+    def test_miscalibrated_fractions_are_a_validation_error(self, tmp_path, capsys, field, value, message):
         cfg = write_config(
             tmp_path, "pop.json",
-            {"score_dist": UniformDist().to_dict(), "alpha0": 0.5, "alpha1": 0.6,
-             "pairs": [[1.0, 1.0]]},
+            {"score_dist": UniformDist().to_dict(), "alpha0": 0.5, "alpha1": 0.5,
+             "pairs": [[1.0, 1.0]], field: value},
         )
         assert main(["population", "-c", cfg, "-o", str(tmp_path / "p")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "pop.json"]
 
 
 class TestCheck:
@@ -952,7 +984,8 @@ def long_trace_lines(tmp_path_factory):
 def run_check(path, lines, capsys):
     """Exit code and output of `check` on a file of `lines`. They, and the
     header, certificate and summary, must not depend on how many byte
-    ranges the file is folded in, and no worker process may outlive it."""
+    ranges the file is folded in, and no worker process may outlive it
+    nor any descriptor be left open."""
     path.write_text("\n".join(lines) + "\n")
     parse = cli._parse_trace_file
     runs = []
@@ -960,8 +993,10 @@ def run_check(path, lines, capsys):
         for n in (1, 2, 3):
             cli._parse_trace_file = functools.partial(parse, ranges=n)
             capsys.readouterr()
+            fds = sorted(os.listdir("/dev/fd"))
             runs.append((main(["check", str(path)]), capsys.readouterr()))
             assert_no_children()
+            assert sorted(os.listdir("/dev/fd")) == fds
     finally:
         cli._parse_trace_file = parse
     assert runs[1:] == runs[:1] * 2, runs
@@ -1119,18 +1154,31 @@ class TestRangedCheck:
         code, out = run_check(tmp_path / "b.jsonl", lines, capsys)
         assert (code, out.out) == (EXIT_OK, honest.out)
 
-    def test_a_failed_fork_folds_the_range_here(self, tmp_path, capsys, monkeypatch, long_trace_lines):
-        def no_fork():
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-
+    @pytest.mark.parametrize("forks", [0, 1, 2], ids=["first", "second", "third"])
+    def test_a_failed_fork_folds_the_range_here(self, tmp_path, capsys, monkeypatch, long_trace_lines, forks):
         lines = list(long_trace_lines)
         _, honest = run_check(tmp_path / "a.jsonl", lines, capsys)
         lines[9_990] = _cut_short(lines[9_990])
         _, bad = run_check(tmp_path / "b.jsonl", lines, capsys)
-        monkeypatch.setattr(os, "fork", no_fork)
+        fork, in_order, tries = os.fork, cli._in_order, []
+
+        def counted_in_order(*args):
+            tries.append(0)  # the forks one file's ranges try
+            return in_order(*args)
+
+        def fork_until():
+            tries[-1] += 1
+            if tries[-1] > forks:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(cli, "_in_order", counted_in_order)
+        monkeypatch.setattr(os, "fork", fork_until)
         assert run_check(tmp_path / "a.jsonl", long_trace_lines, capsys) == (EXIT_OK, honest)
         assert run_check(tmp_path / "b.jsonl", lines, capsys) == (EXIT_IO, bad)
         assert bad.err.startswith("error: malformed trace: line 9991: ")
+        # one range forks nothing, and no fork is tried after one failed
+        assert tries == [0, min(2, forks + 1), min(3, forks + 1)] * 3
 
     def test_a_pipe_is_read_through_by_one_process(self, tmp_path, capsys, long_trace_lines):
         _, honest = run_check(tmp_path / "a.jsonl", long_trace_lines, capsys)
@@ -1369,11 +1417,23 @@ class TestDiagnose:
         report = json.loads(out.read_text())
         assert report["separation"] == pytest.approx(0.57, abs=0.03)
 
-    def test_incomplete_task_spec_is_a_validation_error(self, tmp_path):
+    @pytest.mark.parametrize("field, value, message", [
+        ("problems", None, "stream spec missing key 'problems'"),
+        # read as they are, not truncated or taken as 1
+        *[("samples", v, f"samples must be an integer >= 1, got {v!r}") for v in (1000.9, True, 0, "100")],
+        *[("bins", v, f"bins must be an integer >= 1, got {v!r}") for v in ("10", 2.5, 0, False)],
+    ])
+    def test_incomplete_task_spec_is_a_validation_error(self, tmp_path, capsys, field, value, message):
         stream = preset_math_like("easy")
-        del stream["problems"]
-        cfg = write_config(tmp_path, "diag.json", {"stream": stream, "samples": 100})
+        cfg = {"stream": stream, "samples": 100}
+        if field == "problems":
+            del stream["problems"]
+        else:
+            cfg[field] = value
+        cfg = write_config(tmp_path, "diag.json", cfg)
         assert main(["diagnose", "-c", cfg, "-o", str(tmp_path / "d.json")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "diag.json"]
 
     def test_stdout_summarizes_the_report(self, tmp_path, capsys):
         cfg = write_config(
