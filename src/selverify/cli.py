@@ -2,7 +2,8 @@
 
 Subcommands: simulate (one run to a line-delimited JSON trace file), sweep
 (target grid plus baseline anchors to CSV), population (optimal-policy
-values to JSON lines), check (re-verify a trace file's bounds and claims),
+values to JSON lines), check (regenerate a trace file's run from its header,
+compare it with the file and re-verify its bounds and claims),
 diagnose (score diagnostics for a stream spec).
 
 Configs are JSON documents. --set path=value overrides an existing key
@@ -15,13 +16,15 @@ is set.
 Exit codes: 0 success / all checks pass, 1 check failure, 2 I/O or parse
 error, 3 validation error.
 
-simulate and check run in parallel forked processes, up to one per CPU
-this process may run on (`_process_count`), through one helper,
-`_in_order`: simulate formats ranges of rounds in workers, check folds
-byte ranges of the file in workers. A worker keeps its result in its own
-memory and hands the bytes back through a pipe; the command process
-alone writes the file or merges the certificates, in order. Where a fork
-fails, the command process runs that share and every later one itself.
+simulate and check run one pipeline (`_trace_writer`) with two sinks:
+simulate writes the trace file, check compares the bytes with the file
+it is given (`_Compare`), so a file passes only if it is byte for byte
+the run its header describes. The pipeline formats ranges of rounds in
+parallel forked processes, up to one per CPU this process may run on
+(`_process_count`), through one helper, `_in_order`: a worker keeps its
+rows in its own memory and hands the bytes back through a pipe, and the
+command process alone copies them into the sink, in order. Where a fork
+fails, the command process runs that range and every later one itself.
 Output, verdicts and exit codes do not depend on the number of processes.
 """
 
@@ -37,9 +40,7 @@ import io
 import itertools
 import json
 import os
-import pickle
 import shutil
-import stat
 import sys
 import tempfile
 from typing import Iterator, Optional, TextIO
@@ -50,10 +51,11 @@ from .experiments import (
     ParetoPoint,
     RunSpec,
     _Certificate,
+    _REQUIRED,
     _check_count,
-    _fold_records,
     _kernel_chunks,
     _kernel_path,
+    _record_chunks,
     _rep_setup,
     _takes,
     _write_rows,
@@ -95,22 +97,13 @@ _SWEEP_FIELDS = [
 ]
 SWEEP_COLUMNS = [name for name, _ in _SWEEP_FIELDS]
 
-# Trace lines decoded per json.loads call by `check`.
-_DECODE_CHUNK = 512
-# The fewest bytes of a trace file `check` gives a process of its own. A
-# forked process costs about 7 ms: 2 ms to fork, pipe and join, the rest
-# in copying the pages it writes. Split in two, a 4 MiB file (16,000
-# rounds) was checked faster than by one process in 25 of 25 alternated
-# runs, a 2 MiB file in 19 of 25, and a 1 MiB file in 1 of 25.
-_MIN_RANGE_BYTES = 2 << 20
-# Rounds of `simulate` per forked worker, in `_kernel._CHUNK` blocks. A
-# worker holds its range's text, about 1 MB per block. Medians of 10
-# alternated fresh-process runs on the 100k-round `trace_io` seed-1 config
-# (25 blocks), shared 2-core host, each worker writing its own range to
-# the file: 0.65 s in one process; 0.46 s with 4 blocks per worker, 0.45 s
-# with 10, 0.42 s with 13, 0.48 s with 16, 0.58 s with 20. At 1M rounds:
-# 6.5 s in one process; 5.3 s with 4, 4.6 s with 8, 4.2 s with 13, 4.1 s
-# with 24, where a worker peaks at 54 MB against 43 MB with 13.
+# Rounds per forked worker of `simulate` and `check`, in `_kernel._CHUNK`
+# blocks; a worker holds its range's text, about 1 MB per block. Medians
+# of 8 alternated fresh-process runs on the 100k-round `trace_io` seed-1
+# config (25 blocks), shared 2-core host, simulate / check: 0.48 / 0.47 s
+# in one process; 0.41 / 0.40 s with 4 blocks per worker, 0.41 / 0.38 s
+# with 8, 0.37 / 0.40 s with 13, 0.51 / 0.45 s with 20. Runs of one
+# setting spread by about 0.05 s, so 4 to 13 blocks are about equal.
 _RANGE_CHUNKS = 13
 
 
@@ -186,13 +179,12 @@ def _summary_metrics(ledger: ErrorLedger) -> dict:
     }
 
 
-def _delta(config: dict, what: str = "delta") -> float:
-    """The `delta` of a run config, 0.05 if it has none. Raises ValueError
-    unless it is a JSON number in (0, 1)."""
-    delta = config.get("delta", 0.05)
-    if type(delta) not in (int, float) or not 0.0 < delta < 1.0:
-        raise ValueError(f"{what} must be a number in (0, 1), got {delta!r}")
-    return delta
+def _number(value, what: str, unit: bool = False) -> float:
+    """`value` as a float. Raises ValueError unless it is a JSON number (a
+    bool or a string is not one), in (0, 1) if `unit` is set."""
+    if type(value) not in (int, float) or unit and not 0.0 < value < 1.0:
+        raise ValueError(f"{what} must be a number{' in (0, 1)' * unit}, got {value!r}")
+    return float(value)
 
 
 def _process_count() -> int:
@@ -304,13 +296,13 @@ def _format_range(chunks, cert: _Certificate, out) -> None:
         text.detach()
 
 
-def _write_chunks(fh: TextIO, chunks, cert: _Certificate, procs: int) -> None:
-    """Write the rows of the column `chunks` to `fh` and fold them into
-    `cert`, in order: one `_in_order` work formats each range of
-    `_RANGE_CHUNKS` chunks. A work that runs in a process of its own runs
-    on from the chunk generator's state at the start of its range; this
-    process folds that range as it takes the next work, and copies the
-    rows into `fh`, so it alone writes the file."""
+def _write_chunks(sink, chunks, cert: _Certificate, procs: int) -> None:
+    """Write the rows of the column `chunks` to the binary file `sink` and
+    fold them into `cert`, in order: one `_in_order` work formats each
+    range of `_RANGE_CHUNKS` chunks. A work that runs in a process of its
+    own runs on from the chunk generator's state at the start of its range;
+    this process folds that range as it takes the next work, and copies the
+    rows into `sink`, so it alone writes the sink."""
     chunks = iter(chunks)
 
     def works():
@@ -320,20 +312,24 @@ def _write_chunks(fh: TextIO, chunks, cert: _Certificate, procs: int) -> None:
             for cols in rows:  # none are left where the work ran here
                 cert.add(cols)
 
-    fh.flush()  # the rows go to its buffer, after the text written so far
     with _in_order(works(), procs, "writing part of the trace") as copies:
         for copy in copies:
-            copy(fh.buffer)
+            copy(sink)
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    _apply_overrides(cfg, args.set)
-    if args.seed is not None:
-        cfg["seed_base"] = args.seed
+def _trace_writer(cfg: dict, claims: bool = False, most: Optional[int] = None):
+    """Check the run config `cfg` (policy, stream, horizon, seed_base, rep
+    and delta) and return a function `write(sink)` that writes the trace
+    file of its run to the binary file `sink` and returns the run's
+    certificate, with what `check_claims` reads if `claims` is set, and the
+    bounds and metrics of the summary line.
+
+    The run stops after `most` rounds if that is given, though the header
+    still names the config's horizon. The kernel runs a chunk of rounds at
+    a time, as `write` takes them; a task stream runs in memory at once."""
     rep = cfg.get("rep", 0)
     _check_count("rep", rep, 0)
-    delta = _delta(cfg)
+    delta = _number(cfg.get("delta", 0.05), "delta", unit=True)
     spec = RunSpec(
         policy=PolicyConfig.from_dict(cfg["policy"]),
         stream=cfg["stream"],
@@ -342,26 +338,41 @@ def cmd_simulate(args) -> int:
         seed_base=cfg.get("seed_base", 0),
     )
     config, stream, echo = _rep_setup(spec, rep)
+    horizon = min((n for n in (spec.horizon, most) if n is not None), default=None)
     procs = 1
     if _kernel_path(stream, spec.horizon):
-        chunks = _kernel_chunks(config, _takes(stream, spec.horizon))
+        chunks = _kernel_chunks(config, _takes(stream, horizon))
         # a run of one range is formatted here: a worker would only add a fork
-        known = [n for n in (spec.horizon, getattr(stream, "total_length", None)) if n is not None]
+        known = [n for n in (horizon, getattr(stream, "total_length", None)) if n is not None]
         if not known or min(known) > _RANGE_CHUNKS * _kernel._CHUNK:
             procs = _process_count()
     else:
         # task runs are short: they run in memory and are written as one chunk
-        chunks = [vars(run_rep(spec, rep))]
-    print(f"kernel backend: {kernel_backend()}", file=sys.stderr)
+        chunks = [vars(run_rep(dataclasses.replace(spec, horizon=horizon), rep))]
     echo["delta"] = delta
-    cert = _Certificate(echo, ledger_only=True)
+    cert = _Certificate(echo, ledger_only=not claims)
+
+    def write(sink):
+        sink.write((_dumps({"config": echo, "version": __version__}) + "\n").encode())
+        _write_chunks(sink, chunks, cert, procs)
+        bounds = verify_bound(cert, delta)
+        metrics = _summary_metrics(cert.ledger)
+        sink.write((_dumps({"metrics": metrics, "bounds": bounds}) + "\n").encode())
+        return cert, bounds, metrics
+
+    return write
+
+
+def cmd_simulate(args) -> int:
+    cfg = _load_config(args.config)
+    _apply_overrides(cfg, args.set)
+    if args.seed is not None:
+        cfg["seed_base"] = args.seed
+    write = _trace_writer(cfg)
+    print(f"kernel backend: {kernel_backend()}", file=sys.stderr)
     out = _resolve_output(args.output, "trace.jsonl")
     with _atomic_write(out) as fh:
-        fh.write(_dumps({"config": echo, "version": __version__}) + "\n")
-        _write_chunks(fh, chunks, cert, procs)
-        bounds = verify_bound(cert, delta)
-        m = _summary_metrics(cert.ledger)
-        fh.write(_dumps({"metrics": m, "bounds": bounds}) + "\n")
+        cert, bounds, m = write(fh.buffer)  # bytes, past the text layer
     print(f"wrote {cert.ledger.total} rounds to {out}")
     print(
         f"err_type1={m['err_type1']:.6f} err_type2={m['err_type2']:.6f} "
@@ -400,7 +411,10 @@ def cmd_sweep(args) -> int:
     if args.seed is not None:
         cfg["seed_base"] = args.seed
     template = PolicyConfig.from_dict(cfg["policy"])
-    targets = [(float(a), float(b)) for a, b in cfg["targets"]]
+    targets = [
+        (_number(a, f"targets[{i}][0]"), _number(b, f"targets[{i}][1]"))
+        for i, (a, b) in enumerate(cfg["targets"])
+    ]
     rows = sweep(
         policy_template=template,
         stream_spec=cfg["stream"],
@@ -429,8 +443,8 @@ def cmd_population(args) -> int:
     cfg = _load_config(args.config)
     _apply_overrides(cfg, args.set)
     dist = dist_from_dict(cfg["score_dist"])
-    alpha0 = float(cfg["alpha0"])
-    alpha1 = float(cfg["alpha1"])
+    alpha0 = _number(cfg["alpha0"], "alpha0")
+    alpha1 = _number(cfg["alpha1"], "alpha1")
     calibrated = cfg.get("calibrated", False)
     if not isinstance(calibrated, bool):
         raise ValueError(f"calibrated must be true or false, got {calibrated!r}")
@@ -440,8 +454,8 @@ def cmd_population(args) -> int:
     worst_gap = 0.0
     worst_tol = 0.0
     all_ok = True
-    for pair in cfg["pairs"]:
-        lam1, lam2 = float(pair[0]), float(pair[1])
+    for i, pair in enumerate(cfg["pairs"]):
+        lam1, lam2 = (_number(pair[j], f"pairs[{i}][{j}]") for j in (0, 1))
         spec = PopulationSpec(
             score_dist=dist,
             lambda1=lam1,
@@ -488,264 +502,196 @@ def cmd_population(args) -> int:
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
-class _LineError(ValueError):
-    """A line that is not JSON. Its args are the line's number in the file
-    and what is wrong with it."""
-
-    def __str__(self) -> str:
-        return "line {}: {}".format(*self.args)
-
-
-def _decode_line(line: str, lineno: int):
+def _decode_line(line: bytes, lineno: int):
+    """The JSON value of line `lineno` of a trace file. Raises ValueError,
+    naming the line, where it holds none."""
     try:
         return json.loads(line)
     except json.JSONDecodeError as exc:
-        raise _LineError(lineno, f"{exc.msg} (column {exc.pos + 1})") from None
+        why = f"{exc.msg} (column {exc.pos + 1})"
+    except ValueError as exc:  # not UTF-8, or an integer too long to convert
+        why = exc
     except RecursionError:
-        raise _LineError(lineno, "nested too deeply to decode") from None
-
-
-def _decode_lines(lines: list, first: int) -> list:
-    """The values of the non-blank lines in `lines`, the first of which is
-    line `first` of its file.
-
-    The lines are decoded by one json.loads call, each wrapped in its own
-    brackets, and the result is used only if the text holds no other "["
-    and every wrapper holds one value. That is what decoding the lines one
-    at a time gives: a line keeps its newline and a JSON string cannot hold
-    a raw one, so no string spans two lines, and with no other "[" each
-    "]" can only close its own line's wrapper. Otherwise the lines are
-    decoded one at a time, so that an error names its line.
-    """
-    chunk = list(filter(str.strip, lines))
-    text = "[[" + "],[".join(chunk) + "]]"
-    if text.count("[") == len(chunk) + 1:
-        try:
-            wrapped = json.loads(text)
-        except (ValueError, RecursionError):
-            pass
-        else:
-            if sum(map(len, wrapped)) == len(chunk):
-                return [w[0] for w in wrapped]
-    return [_decode_line(line, n) for n, line in enumerate(lines, first) if line.strip()]
+        why = "nested too deeply to decode"
+    raise ValueError(f"line {lineno}: {why}")
 
 
 def _check_header(header) -> None:
     """Raise ValueError unless `header` holds the config and version that
-    `simulate` writes, with a policy `PolicyConfig` takes as it is and a
-    `delta` in (0, 1) if one is given."""
-    if (
-        not isinstance(header, dict)
-        or not isinstance(header.get("config"), dict)
-        or "version" not in header
-    ):
+    `simulate` writes: this package's version, and every policy key."""
+    config = header.get("config") if isinstance(header, dict) else None
+    if not isinstance(config, dict) or "version" not in header:
         raise ValueError("first line must be a header object with config and version")
-    config = header["config"]
+    if header["version"] != __version__:
+        raise ValueError(f"header version {header['version']!r} is not this package's, {__version__!r}")
     policy = config.get("policy")
-    if not isinstance(policy, dict):
-        raise ValueError("header config must hold a policy object")
-    try:
-        full = PolicyConfig.from_dict(policy).to_dict()
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"header policy: {exc}") from None
-    if full.keys() != policy.keys():
-        missing = sorted(full.keys() - policy.keys())
+    missing = [
+        f.name for f in dataclasses.fields(PolicyConfig) if not isinstance(policy, dict) or f.name not in policy
+    ]
+    if missing:
         raise ValueError(f"header policy lacks {', '.join(missing)}")
-    _delta(config, "header delta")
 
 
-class _ByteRange(io.RawIOBase):
-    """The bytes [pos, end) of the file open as `fd`, read with pread, so
-    that the processes reading one descriptor share no file offset. `end`
-    may be moved while no byte beyond it has been read."""
+_ABSENT = object()
 
-    def __init__(self, fd: int, pos: int, end: int):
-        self.fd, self.pos, self.end = fd, pos, end
 
-    def readable(self) -> bool:
+def _first_difference(a, b, path: str = ""):
+    """The first key, in `_dumps` order, at which the JSON values `a` and
+    `b` differ, as a dotted path, and the `_dumps` of each value there
+    (absent for a missing key); None where they are the same."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            found = _first_difference(a.get(key, _ABSENT), b.get(key, _ABSENT), f"{path}{key}.")
+            if found:
+                return found
+        return None
+    shown = ["absent" if v is _ABSENT else _dumps(v) for v in (a, b)]
+    return None if shown[0] == shown[1] else (path[:-1], *shown)
+
+
+class _Differs(Exception):
+    """A trace file is not the run its header describes; the message says
+    where it first differs."""
+
+
+class _Compare(io.RawIOBase):
+    """A binary sink that compares the bytes written to it with the bytes
+    the binary file `fh` reads next. From the first byte that differs on,
+    it keeps what it is written up to the end of that line of the run, and
+    then raises `_Differs`."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        # the bytes that matched, the line they end on and where it starts
+        self.pos, self.lineno, self.start = 0, 1, 0
+        self.rest = None  # the run's bytes from the first that differs
+
+    def writable(self) -> bool:
         return True
 
-    def readinto(self, buf) -> int:
-        data = os.pread(self.fd, min(len(buf), self.end - self.pos), self.pos)
-        buf[:len(data)] = data
-        self.pos += len(data)
-        return len(data)
-
-
-def _range_lines(fd: int, start: int, end: int) -> TextIO:
-    """The lines of the bytes [start, end) of `fd`, read as `open` reads a
-    text file: UTF-8 with universal newlines."""
-    return io.TextIOWrapper(_ByteRange(fd, start, end), encoding="utf-8")
-
-
-def _range_count(size: int) -> int:
-    """How many processes fold a trace file of `size` bytes: up to
-    `_process_count`, each with `_MIN_RANGE_BYTES` or more."""
-    return max(1, min(_process_count(), size // _MIN_RANGE_BYTES))
-
-
-def _range_starts(fd: int, lo: int, size: int, n: int) -> list[int]:
-    """Where the second to the nth of n near-equal ranges of the bytes
-    [lo, size) of `fd` start, each just after a newline; fewer where
-    lines are long."""
-    starts = set()
-    for k in range(1, n):
-        pos = lo + (size - lo) * k // n
-        while pos < size and (block := os.pread(fd, 1 << 16, pos)):
-            if (i := block.find(b"\n")) >= 0:
-                starts.add(pos + i + 1)
-                break
-            pos += len(block)
-    return sorted(start for start in starts if start < size)
-
-
-def _fold_range(config: dict, lines) -> tuple[_Certificate, list]:
-    """The certificate of the values of the non-blank `lines` but the last,
-    and a list holding the text of that last line (empty if there is
-    none): the caller decides whether it is the summary or a record. A
-    `_LineError` numbers the lines from 1."""
-    tail = []  # the last non-blank line so far, and its value
-    first = 1
-
-    def held_chunks():
-        nonlocal first
-        while chunk := list(itertools.islice(lines, _DECODE_CHUNK)):
-            values = _decode_lines(chunk, first)
-            first += len(chunk)
-            if values:
-                held = tail[1:] + values[:-1]
-                tail[:] = next(filter(str.strip, reversed(chunk))), values[-1]
-                yield held
-
-    return _fold_records(config, itertools.chain.from_iterable(held_chunks())), tail[:1]
-
-
-def _fold_part(config: dict, lines, skipped, out) -> None:
-    """Pickle to the binary file `out` the `_fold_range` of `lines` and
-    None, or None and the exception it raised. `skipped()` is the number
-    of lines in the file before `lines`, so that a `_LineError` names the
-    line in the file."""
-    try:
-        got = _fold_range(config, lines), None
-    except Exception as exc:
-        if isinstance(exc, _LineError):
-            lineno, msg = exc.args
-            exc = _LineError(lineno + skipped(), msg)
-        got = None, exc
-    pickle.dump(got, out)
-
-
-def _parse_trace_file(
-    path: str, ranges: Optional[int] = None
-) -> tuple[dict, _Certificate, Optional[dict]]:
-    """Header, certificate and summary (or None) of a `simulate` file,
-    decoded a chunk of lines at a time and folded as it is read. The header
-    is checked before any record is decoded. The summary is a `metrics`
-    object on the last non-blank line; any other line after the header
-    must be a round record.
-
-    The lines after the header are cut into `ranges` byte ranges
-    (`_range_count` of the file's size by default), each starting just
-    after a newline; a file that is not a regular one (a pipe, say) is one
-    range. The first range continues the header's reader. Each range is
-    one `_in_order` work, all of them at once, and this process merges
-    their certificates in file order, folding the last value of each range
-    in its place, except the file's last, which may be the summary."""
-    with open(path, "rb", buffering=0) as fh:
-        fd = fh.fileno()
-        st = os.fstat(fd)
-        regular = stat.S_ISREG(st.st_mode)
-        if regular:
-            lines = _range_lines(fd, 0, st.st_size)
-        else:
-            lines = io.TextIOWrapper(fh, encoding="utf-8")
-        lineno, header = 0, None
-        for lineno, line in enumerate(lines, 1):
-            if line.strip():
-                header = _decode_line(line, lineno)
-                break
-        if header is None:
-            raise ValueError("trace file is empty")
-        _check_header(header)
-        config = header["config"]
-        starts = []
-        if regular:
-            # the other ranges lie past the bytes that reading the header took in
-            n = _range_count(st.st_size) if ranges is None else ranges
-            starts = _range_starts(fd, lines.buffer.pos, st.st_size, n)
-            lines.buffer.end = (starts + [st.st_size])[0]
-
-        def later(start: int, end: int):
-            return functools.partial(
-                _fold_part, config, _range_lines(fd, start, end),
-                lambda: sum(1 for _ in _range_lines(fd, 0, start)),
+    def write(self, b) -> int:
+        b, n = bytes(b), len(b)
+        if self.rest is None:
+            got = self.fh.read(n)
+            same = n if got == b else next(
+                (i for i, (x, y) in enumerate(zip(got, b)) if x != y), len(got)
             )
+            if (end := b.rfind(b"\n", 0, same)) >= 0:
+                self.lineno += b.count(b"\n", 0, same)
+                self.start = self.pos + end + 1
+            self.pos += same
+            if same == n:
+                return n
+            self.rest, b = b"", b[same:]
+        self.rest += b
+        if b"\n" in self.rest:
+            raise _Differs
+        return n
 
-        works = itertools.chain(
-            [functools.partial(_fold_part, config, lines, lambda: lineno)],
-            itertools.starmap(later, zip(starts, starts[1:] + [st.st_size])),
-        )
-        cert, held = _Certificate(config), []
-        with _in_order(works, len(starts) + 1, "reading part of the file") as copies:
-            for copy in copies:
-                out = io.BytesIO()
-                copy(out)
-                result, exc = pickle.loads(out.getbuffer())
-                if exc is not None:
-                    raise exc
-                part, tail = result
-                if tail:  # a range of blank lines leaves what is held for later
-                    cert.merge(_fold_records(config, map(json.loads, held))).merge(part)
-                    held = tail
-    values = [json.loads(line) for line in held]
-    summary = None
-    if values and isinstance(values[0], dict) and "metrics" in values[0]:
-        summary = values.pop()
-        if not isinstance(summary["metrics"], dict):
-            raise ValueError("summary metrics must be an object")
-    cert.merge(_fold_records(config, values))
-    return header, cert, summary
+
+def _difference(fh, sink: _Compare) -> str:
+    """What differs on the first line of the file `fh` that differs from
+    the run `sink` compared it with. Raises ValueError where that line is
+    neither a round record nor a summary."""
+    n = sink.lineno
+    fh.seek(sink.start)
+    line = fh.readline()
+    if not line.strip():
+        return f"line {n}: " + ("the file has a blank line" if line else "the file ends before the run does")
+    value = _decode_line(line, n)
+    if n > 1:  # the header was checked before the run started
+        try:
+            if not (isinstance(value, dict) and "metrics" in value):
+                next(_record_chunks([value]))  # raises unless it is a round record
+            elif not isinstance(value["metrics"], dict):
+                raise ValueError("summary metrics must be an object")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"line {n}: {exc}") from None
+    run = line[:sink.pos - sink.start] + sink.rest[:sink.rest.index(b"\n")]
+    found = _first_difference(value, json.loads(run))
+    if found is None:
+        return f"line {n}: the values are the run's, only the bytes differ"
+    return "line {}: {} is {} in the file, {} in the run".format(n, *found)
+
+
+# The length of the shortest line a round record can take: its required
+# keys, each with a one-byte value, and a newline. So a file of n bytes
+# holds fewer than n // _MIN_RECORD_BYTES + 1 records.
+_MIN_RECORD_BYTES = len(_dumps(dict.fromkeys((c.key for c in _REQUIRED), 0))) + 1
+
+
+def _open_trace(path: str):
+    """The file at `path`, open for binary reads; one that cannot seek (a
+    pipe, say) is first copied into an unnamed temporary file."""
+    fh = open(path, "rb")
+    if fh.seekable():
+        return fh
+    spool = tempfile.TemporaryFile()
+    with fh:
+        shutil.copyfileobj(fh, spool)
+    spool.seek(0)
+    return spool
+
+
+def _check_trace(fh) -> _Certificate:
+    """The certificate of the run whose trace file the binary file `fh` is,
+    byte for byte, as `simulate`'s pipeline regenerates it from the header.
+    Raises `_Differs` where the file is not that run, and ValueError on a
+    bad header or a malformed first line that differs."""
+    header = fh.readline()
+    if not header:
+        raise ValueError("trace file is empty")
+    header = _decode_line(header, 1)
+    _check_header(header)
+    # a run of more rounds than the file could hold is not the file
+    most = os.fstat(fh.fileno()).st_size // _MIN_RECORD_BYTES + 1
+    try:
+        write = _trace_writer(header["config"], claims=True, most=most)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"header {exc}") from None
+    fh.seek(0)
+    sink = _Compare(fh)
+    try:
+        cert = write(sink)[0]
+    except _Differs:
+        raise _Differs(_difference(fh, sink)) from None
+    if fh.read(1):
+        raise _Differs(f"line {sink.lineno}: the file goes on after the run ends")
+    return cert
 
 
 def cmd_check(args) -> int:
-    delta = None if args.delta is None else _delta({"delta": args.delta}, "--delta")
+    delta = None if args.delta is None else _number(args.delta, "--delta", unit=True)
     try:
-        header, cert, summary = _parse_trace_file(args.trace)
+        fh = _open_trace(args.trace)
     except OSError as exc:
         print(f"error: cannot read trace: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (KeyError, ValueError, TypeError, IndexError, OverflowError) as exc:
-        print(f"error: malformed trace: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with fh:
+        try:
+            cert = _check_trace(fh)
+        except _Differs as exc:
+            print(f"trace differs from the run its header describes: {exc}")
+            return EXIT_CHECK_FAILED
+        except ValueError as exc:
+            print(f"error: malformed trace: {exc}", file=sys.stderr)
+            return EXIT_IO
     if delta is None:
-        delta = _delta(header["config"])
+        delta = cert.config["delta"]
     failures = 0
     bounds = verify_bound(cert, delta)
-    labels = {"type1": "N₀", "type2": "N₁"}
-    for side in ("type1", "type2"):
+    for side, label in (("type1", "N₀"), ("type2", "N₁")):
         s = bounds["sides"][side]
-        status = "PASS" if s["pass"] else "FAIL"
-        failures += 0 if s["pass"] else 1
-        if s["vacuous"]:
-            print(f"bound {side}: vacuous: {labels[side]}=0 {status}")
-        else:
-            print(
-                f"bound {side}: err={s['err']:.6f} <= {s['bound']:.6f} "
-                f"(margin {s['margin']:.6f}) {status}"
-            )
-    claims = check_claims(cert)
-    for name, claim in claims["claims"].items():
-        status = "PASS" if claim["pass"] else "FAIL"
-        failures += 0 if claim["pass"] else 1
-        detail = {k: v for k, v in claim.items() if k != "pass"}
-        print(f"claim {name}: {detail} {status}")
-    if summary is not None:
-        recomputed = _summary_metrics(cert.ledger)
-        same = all(
-            summary["metrics"].get(k) == v for k, v in recomputed.items()
+        failures += not s["pass"]
+        shown = f"vacuous: {label}=0" if s["vacuous"] else (
+            f"err={s['err']:.6f} <= {s['bound']:.6f} (margin {s['margin']:.6f})"
         )
-        failures += 0 if same else 1
-        print(f"summary metrics match records: {'PASS' if same else 'FAIL'}")
+        print(f"bound {side}: {shown} {'PASS' if s['pass'] else 'FAIL'}")
+    for name, claim in check_claims(cert)["claims"].items():
+        failures += not claim["pass"]
+        detail = {k: v for k, v in claim.items() if k != "pass"}
+        print(f"claim {name}: {detail} {'PASS' if claim['pass'] else 'FAIL'}")
+    print("trace is byte for byte the run its header describes: PASS")
     if failures:
         print(f"{failures} check(s) FAILED")
         return EXIT_CHECK_FAILED

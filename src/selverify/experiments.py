@@ -9,10 +9,12 @@ only the sequential state of each round (score, latent label, exploration
 flag, thresholds after the round), and `_kernel.derive_columns` derives
 the other trace columns from it for both. One driver, `_kernel_chunks`,
 runs the kernel over blocks of scores and labels: a run in memory is one
-block, `simulate` a block per 4,096 rounds. One reader, `_record_chunks`,
-parses round records into column chunks, which `check` folds and
-`Trace.from_records` joins. The ledger and the claim checks are one fold
-over column chunks (`_Certificate`). Sweeps evaluate a grid of error
+block, `simulate` (and `check`, which regenerates a trace file's run to
+compare it with the file) a block per 4,096 rounds. One reader,
+`_record_chunks`, parses round records into column chunks, which
+`Trace.from_records` joins and `check` uses to tell a round record from a
+malformed line. The ledger and the claim checks are one fold over column
+chunks (`_Certificate`). Sweeps evaluate a grid of error
 targets plus the two baseline anchors, with stream seeds shared across
 targets and anchors so comparisons are paired.
 """
@@ -409,24 +411,6 @@ class _Certificate:
         self._last = (float(tau_r_after[-1]), float(tau_a_after[-1]))
         return self
 
-    def merge(self, later: "_Certificate") -> "_Certificate":
-        """Fold in `later`, the certificate of the rounds that follow these:
-        the result is the one a single fold over all the rounds gives."""
-        led, other = self.ledger, later.ledger
-        for f in dataclasses.fields(ErrorLedger):
-            setattr(led, f.name, getattr(led, f.name) + getattr(other, f.name))
-        self._units = [a + b for a, b in zip(self._units, later._units)]
-        self._special = [a + b for a, b in zip(self._special, later._special)]
-        self._lo = float(np.min([self._lo, later._lo]))
-        self._hi = float(np.max([self._hi, later._hi]))
-        self._neg_zero |= later._neg_zero
-        self._pos_zero |= later._pos_zero
-        if self._first is None:
-            self._first = later._first
-        if later._last is not None:
-            self._last = later._last
-        return self
-
     def claims(self) -> dict:
         """`check_claims` of the rounds added so far."""
         cfg = self.config["policy"]
@@ -466,16 +450,6 @@ class _Certificate:
                 "policy": policy, "threshold": threshold, "pass": policy <= threshold,
             }
         return {"claims": claims, "pass": all(c["pass"] for c in claims.values())}
-
-
-def _fold_records(config: dict, records: Iterable[dict]) -> _Certificate:
-    """The certificate of round records, folded a chunk at a time as
-    `_record_chunks` parses them, so memory does not grow with the
-    records."""
-    cert = _Certificate(config)
-    for cols in _record_chunks(records):
-        cert.add(cols)
-    return cert
 
 
 def recompute_ledger(trace: Trace) -> ErrorLedger:

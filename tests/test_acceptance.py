@@ -411,8 +411,8 @@ def test_criterion_7_presets_match_their_advertised_moments():
 
 def test_criterion_8_runs_are_reproducible(tmp_path):
     # the same simulate config must produce byte-identical trace files,
-    # and sweep rows computed one at a time in scrambled order must equal
-    # the serial sweep
+    # which check passes, and sweep rows computed one at a time in
+    # scrambled order must equal the serial sweep
     cfg_path = tmp_path / "sim.json"
     cfg_path.write_text(json.dumps({
         "policy": config().to_dict(),
@@ -424,6 +424,7 @@ def test_criterion_8_runs_are_reproducible(tmp_path):
     assert cli_main(["simulate", "-c", str(cfg_path), "-o", str(out_a)]) == 0
     assert cli_main(["simulate", "-c", str(cfg_path), "-o", str(out_b)]) == 0
     bytes_identical = out_a.read_bytes() == out_b.read_bytes()
+    checked = cli_main(["check", str(out_a)]) == 0
 
     template = config(q_accept=0.3, q_reject=0.3)
     stream = preset_math_like("easy", problems=40, budget=3, seed=0)
@@ -439,11 +440,11 @@ def test_criterion_8_runs_are_reproducible(tmp_path):
         and sharded["oracle"] == serial[2]
         and sharded["weak_only"] == serial[3]
     )
-    ok = bytes_identical and shards_match
+    ok = bytes_identical and checked and shards_match
     line = announce(
         8,
         ok,
-        f"trace files byte-identical: {bytes_identical}; "
+        f"trace files byte-identical: {bytes_identical}; check passes them: {checked}; "
         f"scrambled shards equal serial sweep: {shards_match}",
     )
     assert ok, line

@@ -614,18 +614,6 @@ def fold(trace: Trace, size: int) -> "experiments._Certificate":
     return cert
 
 
-def merged(trace: Trace, cuts) -> "experiments._Certificate":
-    """The certificates of the pieces of a trace between `cuts`, merged in
-    round order into an empty one."""
-    arrays = {k: v for k, v in vars(trace).items() if isinstance(v, np.ndarray)}
-    bounds = [0, *cuts, len(trace)]
-    cert = experiments._Certificate(trace.config)
-    for lo, hi in zip(bounds, bounds[1:]):
-        piece = experiments._Certificate(trace.config)
-        cert.merge(piece.add({k: v[lo:hi] for k, v in arrays.items()}))
-    return cert
-
-
 def telescoping_terms(trace: Trace) -> list:
     """Each side's importance-weighted terms, as the claims define them."""
     cfg = trace.config["policy"]
@@ -652,9 +640,6 @@ def assert_fold_is_chunking_free(trace: Trace):
     whole = fold_results(fold(trace, max(len(trace), 1)))
     for size in (1, 7, 512, 4096):
         assert fold_results(fold(trace, size)) == whole, size
-    T = len(trace)
-    for cuts in ([0], [T], [T // 2], sorted([min(1, T), T // 3, max(T - 1, 0)])):
-        assert fold_results(merged(trace, cuts)) == whole, cuts
     assert whole[0] == recompute_ledger(trace)
     sums = np.frombuffer(whole[1], np.float64)[:2]
     for got, terms in zip(sums, telescoping_terms(trace)):
@@ -704,17 +689,11 @@ class TestCertificate:
         assert np.signbit(check_claims(trace)["claims"]["threshold_band"]["low"])
         assert_fold_is_chunking_free(trace)
 
-    def test_merge_at_every_cut_equals_one_fold(self):
-        trace = uniform_run(horizon=1_000, tau_reject_init=-0.0)
-        whole = fold_results(fold(trace, len(trace)))
-        for cut in range(len(trace) + 1):
-            assert fold_results(merged(trace, [cut])) == whole, cut
-
     @pytest.mark.parametrize("q_zero", [[0], [1], [0, 1]], ids=["-inf", "inf", "nan"])
-    def test_merge_keeps_non_finite_terms_and_zero_signs(self, q_zero):
+    def test_chunked_folds_keep_non_finite_terms_and_zero_signs(self, q_zero):
         # q of 0 on a queried incorrect round makes its accept term -inf
         # (w below tau_A) or inf (above); -0.0 and 0.0 thresholds sit in
-        # different pieces
+        # different chunks
         trace = uniform_run(horizon=300, tau_reject_init=-0.0)
         queried = np.flatnonzero(trace.g_observed == 0)
         above = trace.w[queried] > trace.tau_a_before[queried]
@@ -727,9 +706,8 @@ class TestCertificate:
         trace = dataclasses.replace(trace, q=q, tau_r_after=tau_r_after)
         whole = fold_results(fold(trace, len(trace)))
         assert not np.isfinite(np.frombuffer(whole[1], np.float64)[0])
-        for cut in range(len(trace) + 1):
-            assert fold_results(merged(trace, [cut])) == whole, cut
-        assert fold_results(merged(trace, [40, 41, 250])) == whole
+        for size in range(1, len(trace) + 1):
+            assert fold_results(fold(trace, size)) == whole, size
 
     def test_zero_extremes_keep_their_canonical_sign(self):
         # the layouts of test_a_zero_extreme_has_a_canonical_sign, folded
