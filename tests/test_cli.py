@@ -1,6 +1,7 @@
 """Command-line surface: file formats, override handling, exit codes."""
 
 import errno
+import functools
 import hashlib
 import importlib.util
 import io
@@ -1057,6 +1058,23 @@ def _without_tau_a_before(rec):
     return json.dumps(obj)
 
 
+# Where a digit of the 10,000-round file is changed: the byte offset from
+# which to look for one, given the offset at which each line starts, and
+# the direction to look in. Lines 4,098 and 8,194 start the second and
+# third range of rounds; line 10,001 holds the last round.
+DIGIT_SITES = {
+    **{
+        f"block_{k}{d:+d}": (lambda starts, k=k, d=d: k * 65_536 + d, 1)
+        for k in (1, 2, 16, 38) for d in (-1, 0, 1)
+    },
+    "last_digit_before_the_second_range": (lambda starts: starts[4_097] - 1, -1),
+    "first_digit_of_the_second_range": (lambda starts: starts[4_097], 1),
+    "last_digit_before_the_third_range": (lambda starts: starts[8_193] - 1, -1),
+    "first_digit_of_the_third_range": (lambda starts: starts[8_193], 1),
+    "last_digit_of_the_last_round": (lambda starts: starts[10_001] - 1, -1),
+}
+
+
 class TestStreamedCheck:
     @pytest.mark.parametrize("round_index", [100, 5_000, 9_990], ids=["first", "middle", "last"])
     @pytest.mark.parametrize("spoil", [_cut_short, _w_as_a_string, _without_tau_a_before],
@@ -1078,6 +1096,52 @@ class TestStreamedCheck:
     def test_a_header_only_file(self, tmp_path, capsys, long_trace_lines):
         code, out = run_check(tmp_path / "t.jsonl", long_trace_lines[:1], capsys)
         assert (code, out.out) == (EXIT_CHECK_FAILED, differs(2, "the file ends before the run does"))
+
+    @pytest.mark.parametrize("site", sorted(DIGIT_SITES))
+    def test_a_changed_digit_is_named_at_its_line(self, tmp_path, capsys, long_trace_lines, site):
+        # the sink compares whole 64 KiB blocks, but must name the line of
+        # the first byte that differs inside one
+        lines = list(long_trace_lines)
+        data = bytearray(("\n".join(lines) + "\n").encode())
+        starts = [0, *itertools.accumulate(len(line) + 1 for line in lines)]
+        at, step = DIGIT_SITES[site]
+        pos = at(starts)
+        while not chr(data[pos]).isdigit():
+            pos += step
+        data[pos] = ord(str((int(chr(data[pos])) + 1) % 10))
+        i = next(i for i in range(len(lines)) if starts[i + 1] > pos)
+        was, now = json.loads(lines[i]), json.loads(data[starts[i]:starts[i + 1]])
+        changed = [k for k in sorted(was) if now[k] != was[k]]
+        what = "the values are the run's, only the bytes differ" if not changed else (
+            f"{changed[0]} is {cli._dumps(now[changed[0]])} in the file, {cli._dumps(was[changed[0]])} in the run"
+        )
+        lines[i] = data[starts[i]:starts[i + 1] - 1].decode()
+        code, out = run_check(tmp_path / "t.jsonl", lines, capsys)
+        assert (code, out.out) == (EXIT_CHECK_FAILED, differs(i + 1, what))
+
+    @pytest.mark.parametrize("kept", [2, 4_096, 4_097, 4_098, 8_193, 8_194, 10_000])
+    def test_a_file_cut_at_a_line_end(self, tmp_path, capsys, long_trace_lines, kept):
+        # lines 4,098 and 8,194 start the second and third range of rounds
+        code, out = run_check(tmp_path / "t.jsonl", long_trace_lines[:kept], capsys)
+        assert (code, out.out) == (EXIT_CHECK_FAILED, differs(kept + 1, "the file ends before the run does"))
+
+    def test_a_file_without_its_last_newline(self, tmp_path, capsys, long_trace_lines):
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join(long_trace_lines))
+        capsys.readouterr()
+        assert main(["check", str(path)]) == EXIT_CHECK_FAILED
+        assert capsys.readouterr().out == differs(10_002, "the values are the run's, only the bytes differ")
+
+    @pytest.mark.parametrize("extra", [
+        lambda lines: ["x"],
+        lambda lines: ["\0"],
+        lambda lines: lines[:1],
+        lambda lines: lines[-1:],
+        lambda lines: lines,
+    ], ids=["a_letter", "a_nul_byte", "the_header_again", "the_summary_again", "the_file_again"])
+    def test_bytes_after_the_summary(self, tmp_path, capsys, long_trace_lines, extra):
+        code, out = run_check(tmp_path / "t.jsonl", long_trace_lines + extra(long_trace_lines), capsys)
+        assert (code, out.out) == (EXIT_CHECK_FAILED, differs(10_003, "the file goes on after the run ends"))
 
 
 def _crlf(lines):
@@ -1294,13 +1358,15 @@ FORGERIES = {
 FORGED_RUNS = {
     "kernel": GOLDEN_TRACES["drift_kernel"][0],
     "best_of_n": GOLDEN_TRACES["math_like_engine"][0],
+    # 12,098 rounds: three ranges where run_check forks, the forgery in the second
+    "kernel_three_ranges": {"policy": POLICY, "stream": UNEVEN_DRIFT, "horizon": None, "seed_base": 3},
 }
 
 
 @pytest.fixture(scope="module", params=sorted(FORGED_RUNS))
 def honest_lines(request, tmp_path_factory):
-    """The lines of an honest kernel-stream or best-of-n task trace, which
-    `check` passes."""
+    """The lines of an honest kernel-stream trace of one or three ranges of
+    rounds, or of a best-of-n task trace, which `check` passes."""
     tmp = tmp_path_factory.mktemp(request.param)
     out = tmp / "trace.jsonl"
     cfg = write_config(tmp, "sim.json", FORGED_RUNS[request.param])
@@ -1313,13 +1379,83 @@ def honest_lines(request, tmp_path_factory):
 def test_a_forgery_fails_at_its_first_forged_line(tmp_path, capsys, honest_lines, name):
     lines = list(honest_lines)
     line, key = FORGERIES[name](lines)
-    path = tmp_path / "forged.jsonl"
-    path.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    assert main(["check", str(path)]) == EXIT_CHECK_FAILED
-    out = capsys.readouterr().out
-    assert out.startswith(differs(line, f"{key} is " if key else "")[:-1]), out
-    assert out.count("\n") == 1  # no bound or claim line
+    code, out = run_check(tmp_path / "forged.jsonl", lines, capsys)
+    assert code == EXIT_CHECK_FAILED
+    assert out.out.startswith(differs(line, f"{key} is " if key else "")[:-1]), out
+    assert out.out.count("\n") == 1  # no bound or claim line
+
+
+HEADER_EDITS = {
+    **{
+        key: functools.partial(lambda key, value, c: c["policy"].update({key: value}), key, value)
+        for key, value in [
+            ("alpha", 0.2), ("beta", 0.2), ("eta", 0.1), ("q_accept", 0.2), ("q_reject", 0.2),
+            ("tau_accept_init", 0.8), ("tau_reject_init", 0.2),
+        ]
+    },
+    "horizon": lambda c: c.update(horizon=100),
+    "delta": lambda c: c.update(delta=0.1),
+    "rep": lambda c: c.update(rep=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HEADER_EDITS))
+def test_an_edited_header_fails_where_its_run_differs(tmp_path, capsys, honest_lines, name):
+    # the header's config is a simulate config: the file simulate writes
+    # for the edited one shows the first line that is not that run
+    header = json.loads(honest_lines[0])
+    HEADER_EDITS[name](header["config"])
+    lines = [cli._dumps(header), *honest_lines[1:]]
+    out = tmp_path / "run.jsonl"
+    assert main(["simulate", "-c", write_config(tmp_path, "sim.json", header["config"]), "-o", str(out)]) == EXIT_OK
+    run = out.read_text().splitlines()
+    line = next(i for i, (a, b) in enumerate(zip(lines, run)) if a != b) + 1
+    code, got = run_check(tmp_path / "edited.jsonl", lines, capsys)
+    assert code == EXIT_CHECK_FAILED
+    assert got.out.startswith(differs(line, "")[:-1]), (line, got)
+    assert got.out.count("\n") == 1  # no bound or claim line
+
+
+HONEST_RUNS = {
+    "rep_1": {"policy": POLICY, "stream": UNIFORM_STREAM, "horizon": 3_000, "seed_base": 11, "rep": 1},
+    "rep_4": {"policy": POLICY, "stream": UNIFORM_STREAM, "horizon": 3_000, "seed_base": 11, "rep": 4},
+    "delta_0.01": {"policy": POLICY, "stream": UNIFORM_STREAM, "horizon": 3_000, "seed_base": 11, "delta": 0.01},
+    "delta_0.5": {"policy": POLICY, "stream": UNIFORM_STREAM, "horizon": 3_000, "seed_base": 11, "delta": 0.5},
+    "large_seed_base": {"policy": POLICY, "stream": UNIFORM_STREAM, "horizon": 3_000, "seed_base": 2**31 + 5},
+    "beta_scores_three_ranges": {
+        "policy": POLICY, "stream": {**UNIFORM_STREAM, "score_dist": BetaDist(2.0, 5.0).to_dict()},
+        "horizon": 9_000, "seed_base": 1,
+    },
+    "drift_prefix": {"policy": POLICY, "stream": preset_drift(3_000, seed=1), "horizon": 2_500, "seed_base": 2},
+    "stepwise": GOLDEN_TRACES["stepwise_engine"][0],
+    "math_like_hard": {
+        "policy": {**POLICY, "q_accept": 0.3, "q_reject": 0.3},
+        "stream": preset_math_like("hard", problems=100, seed=1), "horizon": None, "seed_base": 4,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(HONEST_RUNS))
+def test_check_passes_what_simulate_writes(tmp_path, capsys, name):
+    # with the bounds of the same run made in memory
+    cfg = HONEST_RUNS[name]
+    out = tmp_path / "trace.jsonl"
+    assert main(["simulate", "-c", write_config(tmp_path, "sim.json", cfg), "-o", str(out)]) == EXIT_OK
+    code, got = run_check(out, out.read_text().splitlines(), capsys)
+    rep = cfg.get("rep", 0)
+    trace = run_rep(RunSpec(
+        policy=PolicyConfig.from_dict(cfg["policy"]), stream=cfg["stream"], horizon=cfg["horizon"],
+        repetitions=rep + 1, seed_base=cfg["seed_base"],
+    ), rep)
+    bounds = verify_bound(trace, cfg.get("delta", 0.05))["sides"]
+    assert all(s["pass"] for s in bounds.values())
+    shown = "".join(
+        f"bound {side}: err={s['err']:.6f} <= {s['bound']:.6f} (margin {s['margin']:.6f}) PASS\n"
+        for side, s in bounds.items()
+    )
+    assert code == EXIT_OK
+    assert got.out.startswith(shown), got
+    assert got.out.endswith("trace is byte for byte the run its header describes: PASS\nall checks passed\n")
 
 
 def test_hostile_headers_are_answered_in_seconds(tmp_path):
