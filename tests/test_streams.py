@@ -17,6 +17,7 @@ from selverify import (
     MiscalibratedStream,
     MixtureDist,
     PointMass,
+    PolicyConfig,
     ProtocolError,
     StepwiseStream,
     UniformDist,
@@ -26,6 +27,7 @@ from selverify import (
     preset_calibrated,
     preset_drift,
     preset_math_like,
+    run_one,
     run_strong_only,
     run_weak_only,
     sample_items,
@@ -33,6 +35,10 @@ from selverify import (
 )
 from selverify.streams import CHUNK
 
+TRACE_COLUMNS = (
+    "t", "w", "region", "action", "q", "explored", "g_observed", "g_latent",
+    "tau_r_before", "tau_a_before", "tau_r_after", "tau_a_after",
+)
 UNIFORM_SPEC = {"kind": "calibrated", "score_dist": UniformDist().to_dict(), "seed": 7}
 
 
@@ -470,6 +476,18 @@ def test_task_stream_draws_are_pinned():
             h.update(json.dumps(dataclasses.asdict(out), sort_keys=True).encode())
     assert h.hexdigest() == (
         "d6977c3d360fa030bb750c393e238f5e65cc880ea0e90968097ed01091778473"
+    )
+    # a policy run through the engine reaches `react` on both specs; its
+    # columns and outcome pin the reactive draws
+    h = hashlib.sha256()
+    config = PolicyConfig(alpha=0.1, beta=0.1, eta=0.05, seed=4)
+    for spec in specs:
+        trace = run_one(config, make_stream(spec))
+        for name in TRACE_COLUMNS:
+            h.update(getattr(trace, name).tobytes())
+        h.update(json.dumps(dataclasses.asdict(trace.outcome), sort_keys=True).encode())
+    assert h.hexdigest() == (
+        "034bc5afce199b3ad3bbec0b0b6e8039158eda536f7c3dfa9a8696375f230b69"
     )
 
 
