@@ -52,7 +52,6 @@ from .experiments import (
     RunSpec,
     _Certificate,
     _REQUIRED,
-    _check_count,
     _kernel_chunks,
     _kernel_path,
     _record_chunks,
@@ -65,7 +64,7 @@ from .experiments import (
     verify_bound,
 )
 from .metrics import ErrorLedger
-from .policy import PolicyConfig, ProtocolError
+from .policy import PolicyConfig, ProtocolError, _check_count
 from .population import (
     PolicyKind,
     PopulationSpec,

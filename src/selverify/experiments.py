@@ -35,7 +35,7 @@ import numpy as np
 from . import _kernel
 from ._kernel import ACTION_ACCEPT, ACTION_REJECT, ACTION_STRONG_VERIFY
 from .metrics import ErrorLedger, delta_bound
-from .policy import Action, PolicyConfig, ProtocolError, Region, VerificationPolicy
+from .policy import Action, PolicyConfig, ProtocolError, Region, VerificationPolicy, _check_count
 from .streams import (
     CalibratedStream,
     MiscalibratedStream,
@@ -186,13 +186,6 @@ class RunSpec:
         for name, low in (("horizon", 1), ("repetitions", 1), ("seed_base", 0)):
             if not (name == "horizon" and self.horizon is None):
                 _check_count(name, getattr(self, name), low)
-
-
-def _check_count(name: str, v, low: int) -> None:
-    """Raise ValueError unless `v` is an integer >= low; a bool or a float
-    is not one."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
 
 
 @dataclass

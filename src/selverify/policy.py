@@ -50,6 +50,13 @@ class ProtocolError(RuntimeError):
     """Raised when decide/feedback/advance are called out of order."""
 
 
+def _check_count(name: str, v, low: int) -> None:
+    """Raise ValueError unless `v` is an integer >= low; a bool or a float
+    is not one."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+
+
 @dataclass(frozen=True)
 class Thresholds:
     """Threshold pair: reject strictly below `reject`, accept strictly above
@@ -120,10 +127,7 @@ class PolicyConfig:
                 f"tau_reject_init {self.tau_reject_init} exceeds "
                 f"tau_accept_init {self.tau_accept_init}"
             )
-        if isinstance(self.seed, bool) or not (
-            isinstance(self.seed, (int, np.integer)) and self.seed >= 0
-        ):
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        _check_count("seed", self.seed, 0)
 
     @property
     def q_min(self) -> float:

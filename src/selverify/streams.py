@@ -6,8 +6,10 @@ reveals its label at the cost of one strong call, and `react` reports the
 caller's final accept/reject so task-structured streams can redraw or
 finalize. Non-reactive streams (calibrated, miscalibrated, drifting) ignore
 `react`; the best-of-n and stepwise streams use it to drive per-problem and
-per-episode bookkeeping. Those two share one base, `_TaskStream`, which
-holds their candidate draw, counters, outcome and weak-only baseline. An
+per-episode bookkeeping. Those two are one state machine, `_TaskStream`: a
+best-of-n problem is a unit of one step with `budget` attempts, a stepwise
+episode is a unit of `steps` steps with `retries + 1` attempts each and a
+point-mass difficulty. An
 external verifier can stand in for any of these by subclassing
 `VerifierStream` with `next`, `answer_strong_query` and `spec_dict`, plus
 `react` and `outcome` if it is reactive. `run_one` sends a non-reactive
@@ -34,7 +36,7 @@ from .distributions import (
     ScoreDist,
     dist_from_dict,
 )
-from .policy import Action, ProtocolError
+from .policy import Action, ProtocolError, _check_count
 
 __all__ = [
     "CHUNK",
@@ -147,8 +149,7 @@ class _BufferedStream(VerifierStream):
     """Non-reactive base: scores in blocks, labels Bernoulli(link(score))."""
 
     def __init__(self, seed: int):
-        if not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+        _check_count("seed", seed, 0)
         self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
         self._buf_w = np.empty(0)
@@ -266,8 +267,7 @@ class DriftStream(_BufferedStream):
         if not segments:
             raise ValueError("drift stream needs at least one segment")
         for _, length in segments:
-            if not isinstance(length, (int, np.integer)) or length < 1:
-                raise ValueError(f"segment lengths must be >= 1, got {length!r}")
+            _check_count("segment length", length, 1)
         self.segments = [(dist, int(length)) for dist, length in segments]
         self._seg_index = 0
         self._seg_pos = 0
@@ -299,29 +299,46 @@ class DriftStream(_BufferedStream):
 
 
 class _TaskStream(VerifierStream):
-    """Reactive base of the task streams; a unit is a problem or an episode.
+    """Reactive base of the task streams: the one task-stream state machine.
 
-    Each class supplies its candidates' success probabilities as an array
-    (`_success_probs`), `_finalize` to close a unit and `_weak_only_unit`.
+    A unit (a problem or an episode) is `steps` steps in sequence, and each
+    step allows up to `attempts` draws. The unit's success probability is
+    drawn from `difficulty` once, at its first draw; each draw is correct
+    with that probability, and its score comes from the correct or the
+    incorrect score law. Accepting a step appends it; an accepted incorrect
+    step taints the unit, which then counts as failed once it completes.
+    Rejecting a step redraws it; a step that runs out of draws fails the
+    unit at once. A rejection that followed a strong query redraws the same
+    way and still spends a draw.
     """
 
     reactive = True
+    _indexes_steps = True
 
     def __init__(
         self,
         units: int,
+        steps: int,
+        attempts: int,
+        difficulty: ScoreDist,
         correct_scores: ScoreDist,
         incorrect_scores: ScoreDist,
         seed: int,
     ):
-        if not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+        _check_count("seed", seed, 0)
         self.correct_scores = correct_scores
         self.incorrect_scores = incorrect_scores
         self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
         self._pending: Optional[StreamItem] = None
         self._units = int(units)
+        self._steps = int(steps)
+        self._attempts = int(attempts)
+        self._difficulty = difficulty
+        self._p = 0.0
+        self._step = 0
+        self._draws = 0
+        self._tainted = False
         self._finished = 0
         self._correct = 0
         self._weak_calls = 0
@@ -335,19 +352,10 @@ class _TaskStream(VerifierStream):
         self._weak_calls += 1
         return w, g
 
-    def _best_of(self, n: int, p: float) -> int:
-        """Label of the highest-scored of n fresh candidates."""
-        best_w, best_g = -1.0, 0
-        for _ in range(n):
-            w, g = self._draw(p)
-            if w > best_w:
-                best_w, best_g = w, g
-        return best_g
-
     def _sample_candidates(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """n i.i.d. candidates: success probabilities, labels, then the
         correct scores, then the incorrect ones."""
-        p = self._success_probs(n)
+        p = self._difficulty.sample(self._rng, n)
         g = (self._rng.random(n) < p).astype(np.int64)
         w = np.empty(n)
         n1 = int(g.sum())
@@ -355,11 +363,47 @@ class _TaskStream(VerifierStream):
         w[g == 0] = self.incorrect_scores.sample(self._rng, n - n1)
         return w, g
 
+    def next(self) -> Optional[StreamItem]:
+        if self._pending is not None:
+            raise ProtocolError("pending candidate awaits react()")
+        if self._finished >= self._units:
+            return None
+        if self._step == 0 and self._draws == 0:
+            self._p = self._difficulty.sample(self._rng)
+        w, g = self._draw(self._p)
+        self._draws += 1
+        step = self._step if self._indexes_steps else None
+        self._pending = StreamItem(w=w, g_latent=g, problem_id=self._finished, step_index=step)
+        return self._pending
+
     def answer_strong_query(self) -> int:
         if self._pending is None:
             raise ProtocolError("no pending candidate to query")
         self._strong_calls += 1
         return self._pending.g_latent
+
+    def react(self, final: Action) -> None:
+        if self._pending is None:
+            raise ProtocolError("no pending candidate to react to")
+        if final is Action.ACCEPT:
+            self._tainted |= self._pending.g_latent == 0
+            self._step += 1
+            self._draws = 0
+            if self._step == self._steps:
+                self._finalize(not self._tainted)
+        elif final is Action.REJECT:
+            if self._draws >= self._attempts:
+                self._finalize(False)
+        else:
+            raise ValueError(f"final decision must be accept or reject, got {final!r}")
+        self._pending = None
+
+    def _finalize(self, correct: bool) -> None:
+        self._correct += int(correct)
+        self._finished += 1
+        self._step = 0
+        self._draws = 0
+        self._tainted = False
 
     def outcome(self) -> TaskOutcome:
         if self._finished < self._units or self._pending is not None:
@@ -372,25 +416,32 @@ class _TaskStream(VerifierStream):
         )
 
     def run_weak_only(self) -> TaskOutcome:
-        """Greedy baseline: never query the strong verifier."""
+        """Greedy baseline: never query the strong verifier. Each step
+        takes the highest-scored of `attempts` draws (the first on a tie),
+        and every step is drawn, even after a wrong one."""
         if self._weak_calls or self._finished:
             raise ProtocolError("baseline runs need a fresh stream")
         for _ in range(self._units):
-            self._finalize(self._weak_only_unit())
+            p = self._difficulty.sample(self._rng)
+            labels = [
+                max((self._draw(p) for _ in range(self._attempts)), key=lambda c: c[0])[1]
+                for _ in range(self._steps)
+            ]
+            self._finalize(0 not in labels)
         return self.outcome()
 
 
 class BestOfNStream(_TaskStream):
     """Outcome-level task stream: one answer per problem, redraws on reject.
 
-    Each problem draws a base correctness rate from `difficulty`, then
-    candidates with g ~ Bernoulli(base) and w ~ correct/incorrect score
-    distribution. Accepting finalizes the problem with the current
-    candidate; rejecting redraws until `budget` candidate generations are
-    spent, after which the problem finalizes unanswered (counted
-    incorrect). A rejection that followed a strong query redraws the same
-    way and the redraw still costs budget.
+    A problem is a unit of one step with `budget` draws, its base
+    correctness rate drawn from `difficulty`. Accepting finalizes the
+    problem with the current candidate; once `budget` candidates are
+    rejected, the problem finalizes unanswered (counted incorrect). Items
+    carry no step index.
     """
+
+    _indexes_steps = False
 
     def __init__(
         self,
@@ -401,52 +452,12 @@ class BestOfNStream(_TaskStream):
         incorrect_scores: ScoreDist,
         seed: int,
     ):
-        if problems < 1:
-            raise ValueError(f"problems must be >= 1, got {problems}")
-        if budget < 1:
-            raise ValueError(f"budget must be >= 1, got {budget}")
-        super().__init__(problems, correct_scores, incorrect_scores, seed)
+        _check_count("problems", problems, 1)
+        _check_count("budget", budget, 1)
+        super().__init__(problems, 1, budget, difficulty, correct_scores, incorrect_scores, seed)
         self.problems = int(problems)
         self.budget = int(budget)
         self.difficulty = difficulty
-        self._candidates_used = 0
-        self._base = 0.0
-
-    def next(self) -> Optional[StreamItem]:
-        if self._pending is not None:
-            raise ProtocolError("pending candidate awaits react()")
-        if self._finished >= self.problems:
-            return None
-        if self._candidates_used == 0:
-            self._base = self.difficulty.sample(self._rng)
-        w, g = self._draw(self._base)
-        self._candidates_used += 1
-        self._pending = StreamItem(w=w, g_latent=g, problem_id=self._finished)
-        return self._pending
-
-    def _finalize(self, correct: bool) -> None:
-        self._correct += int(correct)
-        self._finished += 1
-        self._candidates_used = 0
-
-    def react(self, final: Action) -> None:
-        if self._pending is None:
-            raise ProtocolError("no pending candidate to react to")
-        if final is Action.ACCEPT:
-            self._finalize(self._pending.g_latent == 1)
-        elif final is Action.REJECT:
-            if self._candidates_used >= self.budget:
-                self._finalize(False)
-        else:
-            raise ValueError(f"final decision must be accept or reject, got {final!r}")
-        self._pending = None
-
-    def _weak_only_unit(self) -> bool:
-        # the full budget, then the highest-scored candidate
-        return self._best_of(self.budget, self.difficulty.sample(self._rng)) == 1
-
-    def _success_probs(self, n: int) -> np.ndarray:
-        return self.difficulty.sample(self._rng, n)
 
     def spec_dict(self) -> dict:
         return {
@@ -463,12 +474,10 @@ class BestOfNStream(_TaskStream):
 class StepwiseStream(_TaskStream):
     """Episode-level task stream: L steps in sequence, per-step retries.
 
-    Steps are correct independently with probability step_correct_prob.
-    Accepting a step appends it; an accepted incorrect step poisons the
-    episode, which then counts as failed once it completes. Rejecting a
-    step redraws it up to `retries` times, after which the episode fails
-    immediately. An episode is correct only if every accepted step was
-    latently correct.
+    An episode is a unit of `steps` steps with `retries + 1` draws each,
+    every draw correct with probability step_correct_prob (a point-mass
+    difficulty, which draws no randomness). An episode is correct only if
+    every accepted step was latently correct.
     """
 
     def __init__(
@@ -481,72 +490,21 @@ class StepwiseStream(_TaskStream):
         retries: int,
         seed: int,
     ):
-        if episodes < 1 or steps < 1:
-            raise ValueError(
-                f"episodes and steps must be >= 1, got {episodes}, {steps}"
-            )
+        _check_count("episodes", episodes, 1)
+        _check_count("steps", steps, 1)
+        _check_count("retries", retries, 0)
         if not 0.0 <= step_correct_prob <= 1.0:
             raise ValueError(
                 f"step_correct_prob must be in [0, 1], got {step_correct_prob}"
             )
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        super().__init__(episodes, correct_scores, incorrect_scores, seed)
         self.episodes = int(episodes)
         self.steps = int(steps)
         self.step_correct_prob = float(step_correct_prob)
         self.retries = int(retries)
-        self._step_index = 0
-        self._rejects_this_step = 0
-        self._tainted = False
-
-    def next(self) -> Optional[StreamItem]:
-        if self._pending is not None:
-            raise ProtocolError("pending step awaits react()")
-        if self._finished >= self.episodes:
-            return None
-        w, g = self._draw(self.step_correct_prob)
-        self._pending = StreamItem(
-            w=w, g_latent=g, problem_id=self._finished, step_index=self._step_index
+        super().__init__(
+            episodes, steps, self.retries + 1, PointMass(self.step_correct_prob),
+            correct_scores, incorrect_scores, seed,
         )
-        return self._pending
-
-    def _finalize(self, correct: bool) -> None:
-        self._correct += int(correct)
-        self._finished += 1
-        self._step_index = 0
-        self._rejects_this_step = 0
-        self._tainted = False
-
-    def react(self, final: Action) -> None:
-        if self._pending is None:
-            raise ProtocolError("no pending step to react to")
-        if final is Action.ACCEPT:
-            if self._pending.g_latent == 0:
-                self._tainted = True
-            self._step_index += 1
-            self._rejects_this_step = 0
-            if self._step_index == self.steps:
-                self._finalize(not self._tainted)
-        elif final is Action.REJECT:
-            self._rejects_this_step += 1
-            if self._rejects_this_step > self.retries:
-                self._finalize(False)
-        else:
-            raise ValueError(f"final decision must be accept or reject, got {final!r}")
-        self._pending = None
-
-    def _weak_only_unit(self) -> bool:
-        # per step, the highest-scored of the step and all its retries;
-        # every step is drawn, even after a wrong one
-        labels = [
-            self._best_of(1 + self.retries, self.step_correct_prob)
-            for _ in range(self.steps)
-        ]
-        return 0 not in labels
-
-    def _success_probs(self, n: int) -> np.ndarray:
-        return np.full(n, self.step_correct_prob)
 
     def spec_dict(self) -> dict:
         return {

@@ -1541,14 +1541,18 @@ class TestDiagnose:
         # read as they are, not truncated or taken as 1
         *[("samples", v, f"samples must be an integer >= 1, got {v!r}") for v in (1000.9, True, 0, "100")],
         *[("bins", v, f"bins must be an integer >= 1, got {v!r}") for v in ("10", 2.5, 0, False)],
+        # the stream's counts and seed too
+        *[("problems", v, f"problems must be an integer >= 1, got {v!r}") for v in (2.5, True, 0)],
+        *[("budget", v, f"budget must be an integer >= 1, got {v!r}") for v in ("4", 4.0, False)],
+        *[("seed", v, f"seed must be an integer >= 0, got {v!r}") for v in (True, 1.5, -1)],
     ])
     def test_incomplete_task_spec_is_a_validation_error(self, tmp_path, capsys, field, value, message):
         stream = preset_math_like("easy")
         cfg = {"stream": stream, "samples": 100}
-        if field == "problems":
-            del stream["problems"]
+        if value is None:
+            del stream[field]
         else:
-            cfg[field] = value
+            (stream if field in stream else cfg)[field] = value
         cfg = write_config(tmp_path, "diag.json", cfg)
         assert main(["diagnose", "-c", cfg, "-o", str(tmp_path / "d.json")]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -3,10 +3,13 @@ score laws, frozen-seed statistical checks against closed-form moments."""
 
 import dataclasses
 import hashlib
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selverify import (
     Action,
@@ -97,9 +100,9 @@ class TestCalibrated:
         item = s.next()
         assert s.answer_strong_query() == item.g_latent
 
-    @pytest.mark.parametrize("seed", [-1, 0.5, "x", None])
+    @pytest.mark.parametrize("seed", [-1, 0.5, "x", None, True, 2.0])
     def test_seed_validation(self, seed):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             CalibratedStream(UniformDist(), seed=seed)
 
 
@@ -173,6 +176,14 @@ class TestDrift:
             DriftStream([], seed=0)
         with pytest.raises(ValueError):
             DriftStream([(UniformDist(), 0)], seed=0)
+        # read as they are, not truncated or taken as 1
+        for length in (True, 2.5, 3.0, "3"):
+            segment = {"score_dist": UniformDist().to_dict(), "length": length}
+            message = f"segment length must be an integer >= 1, got {length!r}"
+            with pytest.raises(ValueError, match=message):
+                make_stream({**preset_drift(100), "segments": [segment]})
+        with pytest.raises(ValueError, match="seed must be an integer >= 0, got True"):
+            make_stream({**preset_drift(100), "seed": True})
 
 
 def sure_thing_best_of_n(**kw):
@@ -279,10 +290,23 @@ class TestBestOfN:
             run_strong_only(CalibratedStream(UniformDist(), seed=0))
 
     @pytest.mark.parametrize(
-        "kw", [dict(problems=0), dict(budget=0), dict(seed=-3)]
+        "kw",
+        [
+            dict(problems=0),
+            dict(budget=0),
+            dict(seed=-3),
+            # read as they are, not truncated or taken as 1
+            dict(problems=2.5),
+            dict(problems=True),
+            dict(budget="4"),
+            dict(budget=4.0),
+            dict(seed=True),
+            dict(seed=1.5),
+        ],
     )
     def test_validation(self, kw):
-        with pytest.raises(ValueError):
+        (field, _), = kw.items()
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= "):
             sure_thing_best_of_n(**kw)
 
 
@@ -366,11 +390,65 @@ class TestStepwise:
             dict(step_correct_prob=1.2),
             dict(retries=-1),
             dict(seed=-1),
+            # read as they are, not truncated or taken as 0 or 1
+            dict(episodes=2.7),
+            dict(steps=1.5),
+            dict(steps=True),
+            dict(retries=0.5),
+            dict(retries=False),
+            dict(retries="1"),
+            dict(seed=True),
         ],
     )
     def test_validation(self, kw):
-        with pytest.raises(ValueError):
+        (field, _), = kw.items()
+        with pytest.raises(ValueError, match=f"{field} must be "):
             sure_thing_stepwise(**kw)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    problems=st.integers(1, 6),
+    budget=st.integers(1, 5),
+    p=st.floats(0.0, 1.0),
+    shapes=st.lists(st.floats(0.5, 10.0), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    script=st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=12),
+)
+def test_best_of_n_is_a_one_step_stepwise_stream(problems, budget, p, shapes, seed, script):
+    # best-of-n on a point-mass difficulty and a one-step stepwise stream
+    # with budget - 1 retries draw the same items, outcomes and baselines;
+    # each script entry is (query the strong label, accept)
+    scores = dict(
+        correct_scores=BetaDist(*shapes[:2]), incorrect_scores=BetaDist(*shapes[2:]), seed=seed
+    )
+
+    def pair():
+        return (
+            BestOfNStream(problems, budget, PointMass(p), **scores),
+            StepwiseStream(problems, 1, p, retries=budget - 1, **scores),
+        )
+
+    runs = []
+    for s in pair():
+        items = []
+        for k in itertools.count():
+            item = s.next()
+            if item is None:
+                break
+            query, accept = script[k % len(script)]
+            if query:
+                assert s.answer_strong_query() == item.g_latent
+            s.react(Action.ACCEPT if accept else Action.REJECT)
+            items.append((item.w, item.g_latent, item.problem_id))
+        runs.append((items, s.outcome()))
+    assert runs[0] == runs[1]
+    for baseline in (run_weak_only, run_strong_only):
+        best_of_n, stepwise = (baseline(s) for s in pair())
+        assert best_of_n == stepwise
+    best_of_n, stepwise = (s._sample_candidates(64) for s in pair())
+    for a, b in zip(best_of_n, stepwise):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestMakeStream:
