@@ -368,12 +368,12 @@ class _TaskStream(VerifierStream):
             raise ProtocolError("pending candidate awaits react()")
         if self._finished >= self._units:
             return None
-        if self._step == 0 and self._draws == 0:
+        if self._draws == 0 and self._step == 0:
             self._p = self._difficulty.sample(self._rng)
         w, g = self._draw(self._p)
         self._draws += 1
         step = self._step if self._indexes_steps else None
-        self._pending = StreamItem(w=w, g_latent=g, problem_id=self._finished, step_index=step)
+        self._pending = StreamItem(w, g, self._finished, step)
         return self._pending
 
     def answer_strong_query(self) -> int:
@@ -386,7 +386,8 @@ class _TaskStream(VerifierStream):
         if self._pending is None:
             raise ProtocolError("no pending candidate to react to")
         if final is Action.ACCEPT:
-            self._tainted |= self._pending.g_latent == 0
+            if self._pending.g_latent == 0:
+                self._tainted = True
             self._step += 1
             self._draws = 0
             if self._step == self._steps:
@@ -417,17 +418,21 @@ class _TaskStream(VerifierStream):
 
     def run_weak_only(self) -> TaskOutcome:
         """Greedy baseline: never query the strong verifier. Each step
-        takes the highest-scored of `attempts` draws (the first on a tie),
-        and every step is drawn, even after a wrong one."""
+        takes the highest-scored of `attempts` draws, and every step is
+        drawn, even after a wrong one."""
         if self._weak_calls or self._finished:
             raise ProtocolError("baseline runs need a fresh stream")
         for _ in range(self._units):
             p = self._difficulty.sample(self._rng)
-            labels = [
-                max((self._draw(p) for _ in range(self._attempts)), key=lambda c: c[0])[1]
-                for _ in range(self._steps)
-            ]
-            self._finalize(0 not in labels)
+            correct = True
+            for _ in range(self._steps):
+                best_w, best_g = -1.0, 0
+                for _ in range(self._attempts):
+                    w, g = self._draw(p)
+                    if w > best_w:
+                        best_w, best_g = w, g
+                correct &= best_g == 1
+            self._finalize(correct)
         return self.outcome()
 
 
