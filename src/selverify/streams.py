@@ -9,12 +9,11 @@ finalize. Non-reactive streams (calibrated, miscalibrated, drifting) ignore
 per-episode bookkeeping. Those two are one state machine, `_TaskStream`: a
 best-of-n problem is a unit of one step with `budget` attempts, a stepwise
 episode is a unit of `steps` steps with `retries + 1` attempts each and a
-point-mass difficulty. An
-external verifier can stand in for any of these by subclassing
-`VerifierStream` with `next`, `answer_strong_query` and `spec_dict`, plus
-`react` and `outcome` if it is reactive. `run_one` sends a non-reactive
-stream to the array kernel only if it also draws arrays (`take`, as the
-built-in ones do), and runs any other stream item by item.
+point-mass difficulty. An external verifier can stand in for any of these
+by subclassing `VerifierStream` with `next`, `answer_strong_query` and
+`spec_dict`, plus `react` and `outcome` if it is reactive. `run_one` sends
+a non-reactive stream to the array kernel only if it also draws arrays
+(`take`, as the built-in ones do), and runs any other stream item by item.
 
 Environment randomness is always a separate generator from policy
 randomness, seeded from the stream spec alone, so item sequences replay
