@@ -64,7 +64,7 @@ from .experiments import (
     verify_bound,
 )
 from .metrics import ErrorLedger
-from .policy import PolicyConfig, ProtocolError, _check_count
+from .policy import PolicyConfig, ProtocolError, _check_count, _check_number
 from .population import (
     PolicyKind,
     PopulationSpec,
@@ -99,11 +99,14 @@ SWEEP_COLUMNS = [name for name, _ in _SWEEP_FIELDS]
 # Rounds per forked worker of `simulate` and `check`, in `_kernel._CHUNK`
 # blocks; a worker holds its range's text, about 1 MB per block. Medians
 # of 8 alternated fresh-process runs on the 100k-round `trace_io` seed-1
-# config (25 blocks), shared 2-core host, simulate / check: 0.48 / 0.47 s
-# in one process; 0.41 / 0.40 s with 4 blocks per worker, 0.41 / 0.38 s
-# with 8, 0.37 / 0.40 s with 13, 0.51 / 0.45 s with 20. Runs of one
-# setting spread by about 0.05 s, so 4 to 13 blocks are about equal.
+# config (25 blocks), shared 2-core Xeon host, simulate / check: 0.48 /
+# 0.46 s in one process; 0.47 / 0.46, 0.51 / 0.47, 0.50 / 0.44 and 0.49 /
+# 0.51 s with 4, 8, 13 and 20 blocks per worker, all within the 0.05 s
+# that runs of one setting spread by.
 _RANGE_CHUNKS = 13
+
+# The most bytes a trace file line may take with its newline; a record takes ~260.
+_MAX_LINE_BYTES = 1 << 20
 
 
 def _dumps(obj) -> str:
@@ -178,11 +181,9 @@ def _summary_metrics(ledger: ErrorLedger) -> dict:
     }
 
 
-def _number(value, what: str, unit: bool = False) -> float:
-    """`value` as a float. Raises ValueError unless it is a JSON number (a
-    bool or a string is not one), in (0, 1) if `unit` is set."""
-    if type(value) not in (int, float) or unit and not 0.0 < value < 1.0:
-        raise ValueError(f"{what} must be a number{' in (0, 1)' * unit}, got {value!r}")
+def _number(value, what: str, within: str = "") -> float:
+    """`value` as a float, once `_check_number` has checked it."""
+    _check_number(what, value, within)
     return float(value)
 
 
@@ -328,7 +329,7 @@ def _trace_writer(cfg: dict, claims: bool = False, most: Optional[int] = None):
     a time, as `write` takes them; a task stream runs in memory at once."""
     rep = cfg.get("rep", 0)
     _check_count("rep", rep, 0)
-    delta = _number(cfg.get("delta", 0.05), "delta", unit=True)
+    delta = _number(cfg.get("delta", 0.05), "delta", within=" in (0, 1)")
     spec = RunSpec(
         policy=PolicyConfig.from_dict(cfg["policy"]),
         stream=cfg["stream"],
@@ -503,7 +504,9 @@ def cmd_population(args) -> int:
 
 def _decode_line(line: bytes, lineno: int):
     """The JSON value of line `lineno` of a trace file. Raises ValueError,
-    naming the line, where it holds none."""
+    naming the line, where it holds none or is over `_MAX_LINE_BYTES`."""
+    if len(line) > _MAX_LINE_BYTES:
+        raise ValueError(f"line {lineno}: longer than {_MAX_LINE_BYTES} bytes")
     try:
         return json.loads(line)
     except json.JSONDecodeError as exc:
@@ -561,8 +564,8 @@ class _Compare(io.RawIOBase):
 
     def __init__(self, fh):
         self.fh = fh
-        # the bytes that matched, the line they end on and where it starts
-        self.pos, self.lineno, self.start = 0, 1, 0
+        # the bytes that matched and where the line they end on starts
+        self.pos = self.start = 0
         self.rest = None  # the run's bytes from the first that differs
 
     def writable(self) -> bool:
@@ -576,7 +579,6 @@ class _Compare(io.RawIOBase):
                 (i for i, (x, y) in enumerate(zip(got, b)) if x != y), len(got)
             )
             if (end := b.rfind(b"\n", 0, same)) >= 0:
-                self.lineno += b.count(b"\n", 0, same)
                 self.start = self.pos + end + 1
             self.pos += same
             if same == n:
@@ -587,14 +589,22 @@ class _Compare(io.RawIOBase):
             raise _Differs
         return n
 
+    def lineno(self) -> int:
+        """The number of the line the matched bytes end on, counted only now."""
+        self.fh.seek(0)
+        return 1 + sum(
+            self.fh.read(min(_MAX_LINE_BYTES, self.start - i)).count(b"\n")
+            for i in range(0, self.start, _MAX_LINE_BYTES)
+        )
+
 
 def _difference(fh, sink: _Compare) -> str:
     """What differs on the first line of the file `fh` that differs from
     the run `sink` compared it with. Raises ValueError where that line is
     neither a round record nor a summary."""
-    n = sink.lineno
+    n = sink.lineno()
     fh.seek(sink.start)
-    line = fh.readline()
+    line = fh.readline(_MAX_LINE_BYTES + 1)
     if not line.strip():
         return f"line {n}: " + ("the file has a blank line" if line else "the file ends before the run does")
     value = _decode_line(line, n)
@@ -637,7 +647,7 @@ def _check_trace(fh) -> _Certificate:
     byte for byte, as `simulate`'s pipeline regenerates it from the header.
     Raises `_Differs` where the file is not that run, and ValueError on a
     bad header or a malformed first line that differs."""
-    header = fh.readline()
+    header = fh.readline(_MAX_LINE_BYTES + 1)
     if not header:
         raise ValueError("trace file is empty")
     header = _decode_line(header, 1)
@@ -655,12 +665,12 @@ def _check_trace(fh) -> _Certificate:
     except _Differs:
         raise _Differs(_difference(fh, sink)) from None
     if fh.read(1):
-        raise _Differs(f"line {sink.lineno}: the file goes on after the run ends")
+        raise _Differs(f"line {sink.lineno()}: the file goes on after the run ends")
     return cert
 
 
 def cmd_check(args) -> int:
-    delta = None if args.delta is None else _number(args.delta, "--delta", unit=True)
+    delta = None if args.delta is None else _number(args.delta, "--delta", within=" in (0, 1)")
     try:
         fh = _open_trace(args.trace)
     except OSError as exc:

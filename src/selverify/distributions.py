@@ -13,6 +13,8 @@ from typing import Optional
 
 import numpy as np
 
+from .policy import _check_number
+
 __all__ = [
     "ScoreDist",
     "UniformDist",
@@ -130,8 +132,7 @@ class PointMass(ScoreDist):
     value: float
 
     def __post_init__(self):
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"point mass value must be in [0, 1], got {self.value}")
+        _check_number("point mass value", self.value, " in [0, 1]")
 
     def mean(self) -> float:
         return self.value
@@ -172,8 +173,8 @@ class BetaDist(_ContinuousDist):
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise ValueError(f"beta shapes must be positive, got a={self.a}, b={self.b}")
+        _check_number("beta shape a", self.a, " > 0")
+        _check_number("beta shape b", self.b, " > 0")
 
     def mean(self) -> float:
         return self.a / (self.a + self.b)
@@ -218,8 +219,7 @@ class MixtureDist(ScoreDist):
     second: ScoreDist
 
     def __post_init__(self):
-        if not 0.0 <= self.weight <= 1.0:
-            raise ValueError(f"mixture weight must be in [0, 1], got {self.weight}")
+        _check_number("mixture weight", self.weight, " in [0, 1]")
 
     def mean(self) -> float:
         return self.weight * self.first.mean() + (1.0 - self.weight) * self.second.mean()
@@ -281,6 +281,9 @@ class GridDist(ScoreDist):
     """
 
     def __init__(self, weights):
+        if not isinstance(weights, np.ndarray):  # a list from a config, say
+            for i, v in enumerate(weights):
+                _check_number(f"grid weights[{i}]", v)
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("grid weights must be a non-empty 1-d array")

@@ -10,7 +10,10 @@ flag, thresholds after the round), and `_kernel.derive_columns` derives
 the other trace columns from it for both. One driver, `_kernel_chunks`,
 runs the kernel over blocks of scores and labels: a run in memory is one
 block, `simulate` (and `check`, which regenerates a trace file's run to
-compare it with the file) a block per 4,096 rounds. One reader,
+compare it with the file) a block per 4,096 rounds. One writer,
+`_write_rows`, encodes each distinct value of a block once where values
+repeat (the thresholds, `q_t`, the enums), since turning numbers into
+text costs more than the kernel. One reader,
 `_record_chunks`, parses round records into column chunks, which
 `Trace.from_records` joins and `check` uses to tell a round record from a
 malformed line. The ledger and the claim checks are one fold over column
@@ -28,7 +31,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -67,14 +70,13 @@ REGION_NAMES = tuple(r.value for r in Region)
 ACTION_NAMES = tuple(a.value for a in Action)
 
 
-def _json_numbers(vals: list) -> list[str]:
-    """JSON text of ints and floats, as json.dumps writes them."""
+def _json_numbers(a: np.ndarray) -> list[str]:
+    """JSON text of the ints or floats of an array, as json.dumps writes them."""
+    vals = a.tolist()
+    if np.isfinite(a).all():
+        return list(map(repr, vals))
     # json.dumps spells the non-finite floats NaN, Infinity and -Infinity
     return [repr(v) if math.isfinite(v) else json.dumps(v) for v in vals]
-
-
-def _json_values(vals: list) -> list[str]:
-    return [json.dumps(v) for v in vals]
 
 
 # The Python types of the JSON values a column of each dtype accepts.
@@ -87,35 +89,36 @@ _JSON_TYPES = {
 
 @dataclass(frozen=True)
 class _Column:
-    """One trace column: its JSON key, its `Trace` attribute, its dtype and
-    the encoder from a list of record values to their JSON text. An enum
-    column stores the index of a name in `names` and its records carry the
-    name. An optional column stores -1 on rounds whose record leaves its
-    key out."""
+    """One trace column: its JSON key, its `Trace` attribute and its dtype.
+    An enum column stores the index of a name in `names` and its records
+    carry the name. An optional column stores -1 on rounds whose record
+    leaves its key out."""
 
     key: str
     attr: str
     dtype: type
-    encode: Callable[[list], list[str]] = _json_numbers
     names: tuple = ()
     optional: bool = False
+    shared: bool = False
+    distinct: bool = False
 
     def values(self, a: np.ndarray) -> list:
         """Record values of a slice of the column, as Python scalars."""
         vals = np.asarray(a, self.dtype).tolist()
         return [self.names[v] for v in vals] if self.names else vals
 
-    def cells(self, a: np.ndarray, head: str, tail: str) -> list[str]:
-        """`head + JSON value + tail` for each value of a slice, or "" where
-        an optional key is left out. Each distinct bit pattern is encoded
-        once, so -0.0 and 0.0 keep their own spellings."""
-        a = np.ascontiguousarray(a, self.dtype)
-        bits, inv = np.unique(a.view(f"i{a.itemsize}"), return_inverse=True)
-        vals = self.values(bits.view(self.dtype))
-        text = [head + s + tail for s in self.encode(vals)]
+    def texts(self, a: np.ndarray, key: str) -> list[str]:
+        """The JSON text of each value of a slice of the column, which is not
+        `shared` (a float column is that or `distinct`); for an optional
+        column, after its key text `key`, or "" where it is left out."""
+        if self.distinct:
+            return _json_numbers(np.asarray(a, self.dtype))
+        # the others take a few values: each is encoded once, into a table
+        vals = np.asarray(a, self.dtype).tolist()
+        table = {v: json.dumps(self.names[v] if self.names else v) for v in set(vals)}
         if self.optional:
-            text = ["" if v < 0 else s for v, s in zip(vals, text)]
-        return np.array(text, dtype=object)[inv].tolist()
+            table = {v: "" if v < 0 else key + s for v, s in table.items()}
+        return list(map(table.__getitem__, vals))
 
     def parse(self, vals: Sequence) -> np.ndarray:
         """The column of a sequence of record values. Raises TypeError on a
@@ -133,17 +136,17 @@ class _Column:
 
 # The columns of a trace, in the key order of `iter_records`.
 _COLUMNS = (
-    _Column("t", "t", np.int64),
-    _Column("w", "w", np.float64),
-    _Column("region", "region", np.int64, _json_values, REGION_NAMES),
-    _Column("action", "action", np.int64, _json_values, ACTION_NAMES),
-    _Column("q_t", "q", np.float64),
-    _Column("explored", "explored", np.bool_, _json_values),
+    _Column("t", "t", np.int64, distinct=True),
+    _Column("w", "w", np.float64, distinct=True),
+    _Column("region", "region", np.int64, REGION_NAMES),
+    _Column("action", "action", np.int64, ACTION_NAMES),
+    _Column("q_t", "q", np.float64, shared=True),
+    _Column("explored", "explored", np.bool_),
     _Column("g_latent", "g_latent", np.int64),
-    _Column("tau_R_before", "tau_r_before", np.float64),
-    _Column("tau_A_before", "tau_a_before", np.float64),
-    _Column("tau_R_after", "tau_r_after", np.float64),
-    _Column("tau_A_after", "tau_a_after", np.float64),
+    _Column("tau_R_before", "tau_r_before", np.float64, shared=True),
+    _Column("tau_A_before", "tau_a_before", np.float64, shared=True),
+    _Column("tau_R_after", "tau_r_after", np.float64, shared=True),
+    _Column("tau_A_after", "tau_a_after", np.float64, shared=True),
     _Column("g_observed", "g_observed", np.int64, optional=True),
 )
 _KEYS = tuple(c.key for c in _COLUMNS)
@@ -213,14 +216,13 @@ class Trace:
 
     def iter_records(self) -> Iterator[dict]:
         """Rounds as plain dicts; g_observed appears only on queried rounds."""
-        optional = [c.key for c in _COLUMNS if c.optional]
         for lo in range(0, len(self), _CHUNK_OUT):
             cols = [c.values(getattr(self, c.attr)[lo:lo + _CHUNK_OUT]) for c in _COLUMNS]
             for row in zip(*cols):
                 rec = dict(zip(_KEYS, row))
-                for key in optional:
-                    if rec[key] < 0:
-                        del rec[key]
+                for c in _OPTIONAL:
+                    if rec[c.key] < 0:
+                        del rec[c.key]
                 yield rec
 
     def write_records(self, fh: TextIO) -> None:
@@ -241,12 +243,11 @@ class Trace:
         return _trace(config, cols)
 
 
-# The columns in the key order of the JSON lines, with the text that joins
-# each value to the one before it; "{" and "}" ride on the first and last
-# keys, which are never optional.
+# The columns in the key order of the JSON lines and the text before each
+# value; "{" and "}" ride on the first and last keys, never optional ones.
 _SORTED = sorted(_COLUMNS, key=lambda c: c.key)
-_HEADS = [("," if i else "{") + json.dumps(c.key) + ":" for i, c in enumerate(_SORTED)]
-_TAILS = [""] * (len(_SORTED) - 1) + ["}"]
+_KEY_TEXTS = [("," if i else "{") + json.dumps(c.key) + ":" for i, c in enumerate(_SORTED)]
+_SHARED = [c.attr for c in _SORTED if c.shared]
 _REQUIRED = [c for c in _COLUMNS if not c.optional]
 _OPTIONAL = [c for c in _COLUMNS if c.optional]
 _GET_REQUIRED = operator.itemgetter(*(c.key for c in _REQUIRED))
@@ -254,13 +255,25 @@ _GET_REQUIRED = operator.itemgetter(*(c.key for c in _REQUIRED))
 
 def _write_rows(fh: TextIO, cols: dict) -> None:
     """Write the rows of the columns `cols` (`Trace` attribute -> array)
-    as the JSON lines `Trace.write_records` writes."""
+    as the JSON lines `Trace.write_records` writes, `_CHUNK_OUT` at a time.
+    Turning numbers into text is most of the work, so a block's repeated
+    values are encoded once each: the thresholds and `q_t` through one
+    `np.unique` of their bits (a round's thresholds after are the next
+    round's before), the enums, `explored` and `g_observed` through a
+    lookup table. `w` and `t`, all distinct, are encoded straight."""
     for lo in range(0, len(cols["t"]), _CHUNK_OUT):
-        cells = [
-            c.cells(cols[c.attr][lo:lo + _CHUNK_OUT], head, tail)
-            for c, head, tail in zip(_SORTED, _HEADS, _TAILS)
-        ]
-        fh.write("\n".join(map("".join, zip(*cells))) + "\n")
+        block = {c.attr: cols[c.attr][lo:lo + _CHUNK_OUT] for c in _COLUMNS}
+        floats = np.concatenate([np.asarray(block[attr], np.float64) for attr in _SHARED])
+        bits, inv = np.unique(floats.view(np.int64), return_inverse=True)
+        texts = np.array(_json_numbers(bits.view(np.float64)), dtype=object)[inv]
+        shared = iter(texts.reshape(len(_SHARED), -1).tolist())
+        parts = []  # one line is one join of its value texts and key texts
+        for c, key in zip(_SORTED, _KEY_TEXTS):
+            if not c.optional:  # an optional column's texts carry its key
+                parts.append(itertools.repeat(key))
+            parts.append(next(shared) if c.shared else c.texts(block[c.attr], key))
+        parts.append(itertools.repeat("}\n"))
+        fh.write("".join(map("".join, zip(*parts))))
 
 
 def _record_chunks(records: Iterable[dict]) -> Iterator[dict]:

@@ -57,6 +57,22 @@ def _check_count(name: str, v, low: int) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
 
 
+_WITHIN = {
+    "": lambda v: True,
+    " > 0": lambda v: v > 0.0,
+    " in (0, 1)": lambda v: 0.0 < v < 1.0,
+    " in (0, 1]": lambda v: 0.0 < v <= 1.0,
+    " in [0, 1]": lambda v: 0.0 <= v <= 1.0,
+}
+
+
+def _check_number(name: str, v, within: str = "") -> None:
+    """Raise ValueError unless `v` is a number (a numpy scalar is, a bool
+    or a string is not) in the interval `within`, a key of `_WITHIN`."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)) or not _WITHIN[within](v):
+        raise ValueError(f"{name} must be a number{within}, got {v!r}")
+
+
 @dataclass(frozen=True)
 class Thresholds:
     """Threshold pair: reject strictly below `reject`, accept strictly above
@@ -106,22 +122,16 @@ class PolicyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("alpha", "beta"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must be in (0, 1), got {v}")
-        for name in ("q_accept", "q_reject"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {v}")
+        for name, within in (
+            ("alpha", " in (0, 1)"), ("beta", " in (0, 1)"), ("eta", " > 0"),
+            ("q_accept", " in (0, 1]"), ("q_reject", " in (0, 1]"),
+            ("tau_reject_init", " in [0, 1]"), ("tau_accept_init", " in [0, 1]"),
+        ):
+            _check_number(name, getattr(self, name), within)
         # every update stays in the band [-eta/q_min, 1 + eta/q_min], so a
         # finite band keeps the thresholds finite
-        if not (self.eta > 0.0 and math.isfinite(self.eta / self.q_min)):
+        if not math.isfinite(self.eta / self.q_min):
             raise ValueError(f"eta must be positive with eta / q_min finite, got {self.eta}")
-        for name in ("tau_reject_init", "tau_accept_init"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
         if self.tau_reject_init > self.tau_accept_init:
             raise ValueError(
                 f"tau_reject_init {self.tau_reject_init} exceeds "

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .distributions import GridDist, ScoreDist
-from .policy import Action
+from .policy import Action, _check_number
 
 __all__ = [
     "PolicyKind",
@@ -101,9 +101,7 @@ class PopulationSpec:
                 f"lambda1={self.lambda1}, lambda2={self.lambda2}"
             )
         for name in ("alpha0", "alpha1"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must be in (0, 1), got {v}")
+            _check_number(name, getattr(self, name), " in (0, 1)")
         if abs(self.alpha0 + self.alpha1 - 1.0) > 1e-12:
             raise ValueError(
                 f"alpha0 + alpha1 must equal 1, got {self.alpha0 + self.alpha1!r}"

@@ -35,7 +35,7 @@ from .distributions import (
     ScoreDist,
     dist_from_dict,
 )
-from .policy import Action, ProtocolError, _check_count
+from .policy import Action, ProtocolError, _check_count, _check_number
 
 __all__ = [
     "CHUNK",
@@ -137,10 +137,9 @@ def apply_link(link: dict, w: np.ndarray) -> np.ndarray:
     if kind == "identity":
         return np.asarray(w, dtype=np.float64)
     if kind == "power":
-        k = float(link["exponent"])
-        if k <= 0:
-            raise ValueError(f"power link exponent must be positive, got {k}")
-        return np.power(np.asarray(w, dtype=np.float64), k)
+        k = link["exponent"]
+        _check_number("power link exponent", k, " > 0")
+        return np.power(np.asarray(w, dtype=np.float64), float(k))
     raise ValueError(f"unknown link kind {kind!r}")
 
 
@@ -497,10 +496,7 @@ class StepwiseStream(_TaskStream):
         _check_count("episodes", episodes, 1)
         _check_count("steps", steps, 1)
         _check_count("retries", retries, 0)
-        if not 0.0 <= step_correct_prob <= 1.0:
-            raise ValueError(
-                f"step_correct_prob must be in [0, 1], got {step_correct_prob}"
-            )
+        _check_number("step_correct_prob", step_correct_prob, " in [0, 1]")
         self.episodes = int(episodes)
         self.steps = int(steps)
         self.step_correct_prob = float(step_correct_prob)

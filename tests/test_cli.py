@@ -558,6 +558,43 @@ def test_check_peak_memory_stays_near_the_columns(tmp_path):
     assert res["growth_kb"] * 1024 < 1.8 * column_bytes
 
 
+@pytest.mark.skipif(_vm_hwm_kb() is None, reason="no VmHWM in /proc/self/status")
+def test_an_overlong_header_is_refused_in_bounded_memory(tmp_path):
+    # check reads a line of at most `_MAX_LINE_BYTES`: a 64 MiB header is
+    # refused with the peak of an honest check, not held whole
+    honest = tmp_path / "honest.jsonl"
+    cfg = simulate_config(tmp_path)
+    assert main(["simulate", "-c", cfg, "-o", str(honest)]) == EXIT_OK
+    huge = tmp_path / "huge.jsonl"
+    with open(huge, "wb") as fh:
+        fh.write(b'{"config":"')
+        for _ in range(64):
+            fh.write(b"x" * (1 << 20))
+        fh.write(b'","version":"0"}\n')
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import selverify.cli\n"
+        "def hwm():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
+        "before = hwm()\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = selverify.cli.main(['check', sys.argv[1]])\n"
+        "print(json.dumps({'code': code, 'growth_kb': hwm() - before}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(selverify.__file__).parent.parent)}
+    res = {}
+    for path in (honest, huge):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        res[path.name] = json.loads(proc.stdout.splitlines()[-1])
+    assert res["honest.jsonl"]["code"] == EXIT_OK
+    assert res["huge.jsonl"]["code"] == EXIT_IO
+    assert res["huge.jsonl"]["growth_kb"] < res["honest.jsonl"]["growth_kb"] + 4 * 1024, res
+
+
 def _command_growth_kb(argv) -> tuple[int, int]:
     """VmHWM growth of one command in a fresh interpreter, from just after
     the import, and the peak resident set of its largest worker, with two
@@ -997,6 +1034,18 @@ class TestCheck:
         capsys.readouterr()
         assert main(["check", str(trace)]) == EXIT_IO
         assert capsys.readouterr().err.startswith(f"error: malformed trace: line 6: {why}")
+
+    @pytest.mark.parametrize("lineno", [1, 6])
+    def test_a_line_longer_than_the_cap_is_malformed(self, tmp_path, capsys, lineno):
+        trace = self.make_trace(tmp_path)
+        lines = trace.read_bytes().split(b"\n")
+        lines[lineno - 1] = b'{"t":' + b" " * cli._MAX_LINE_BYTES + b"1}"
+        trace.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        assert main(["check", str(trace)]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"error: malformed trace: line {lineno}: longer than {cli._MAX_LINE_BYTES} bytes\n"
+        )
 
     def test_a_decode_error_names_its_file_line(self, tmp_path, capsys):
         trace = self.make_trace(tmp_path)
@@ -1545,6 +1594,11 @@ class TestDiagnose:
         *[("problems", v, f"problems must be an integer >= 1, got {v!r}") for v in (2.5, True, 0)],
         *[("budget", v, f"budget must be an integer >= 1, got {v!r}") for v in ("4", 4.0, False)],
         *[("seed", v, f"seed must be an integer >= 0, got {v!r}") for v in (True, 1.5, -1)],
+        # and its real-valued parameters: a bool or a string is not a number
+        *[("difficulty", {"kind": "point", "value": v},
+           f"point mass value must be a number in [0, 1], got {v!r}") for v in (True, "0.9")],
+        *[("incorrect_scores", {"kind": "beta", "a": v, "b": 2},
+           f"beta shape a must be a number > 0, got {v!r}") for v in (True, "9")],
     ])
     def test_incomplete_task_spec_is_a_validation_error(self, tmp_path, capsys, field, value, message):
         stream = preset_math_like("easy")

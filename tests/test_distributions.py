@@ -67,6 +67,10 @@ class TestPointMass:
             PointMass(1.5)
         with pytest.raises(ValueError):
             PointMass(-0.1)
+        for v in (True, "0.9", None):
+            with pytest.raises(ValueError, match=f"point mass value must be a number in \\[0, 1\\], got {v!r}"):
+                PointMass(v)
+        assert PointMass(np.float64(0.5)).value == 0.5
 
 
 class TestBeta:
@@ -98,6 +102,11 @@ class TestBeta:
             BetaDist(0.0, 1.0)
         with pytest.raises(ValueError):
             BetaDist(2.0, -1.0)
+        # a bool was taken as 1 and echoed as true, a string failed to compare
+        with pytest.raises(ValueError, match="beta shape a must be a number > 0, got True"):
+            BetaDist(True, 2.0)
+        with pytest.raises(ValueError, match="beta shape b must be a number > 0, got '9'"):
+            BetaDist(2.0, "9")
 
 
 class TestMixture:
@@ -122,6 +131,8 @@ class TestMixture:
     def test_validation(self):
         with pytest.raises(ValueError):
             MixtureDist(1.5, UniformDist(), UniformDist())
+        with pytest.raises(ValueError, match="mixture weight must be a number in"):
+            MixtureDist(False, UniformDist(), UniformDist())
 
 
 class TestGrid:
@@ -158,6 +169,10 @@ class TestGrid:
             GridDist([0.5, 0.6])
         with pytest.raises(ValueError):
             GridDist.uniform(0)
+        with pytest.raises(ValueError, match=r"grid weights\[1\] must be a number, got True"):
+            GridDist([0.0, True])
+        with pytest.raises(ValueError, match=r"grid weights\[0\] must be a number, got '1'"):
+            GridDist(["1"])
 
     def test_sampling_respects_weights(self):
         g = GridDist([0.0, 1.0, 0.0])

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -43,6 +44,7 @@ from selverify import (
     verify_bound,
 )
 from selverify import _kernel, experiments
+from selverify.metrics import ErrorLedger
 
 SV = 2  # action code for strong_verify in trace columns
 
@@ -462,6 +464,42 @@ class TestTraceSerialization:
         trace.write_records(buf)
         assert buf.getvalue() == expected
         assert all(f'"w":{s}}}' in expected for s in ("-0.0", "0.0", "NaN", "-Infinity"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([0, 1, 6, 7, 8, 13, 14, 15]))
+    def test_written_lines_are_json_dumps_on_random_columns(self, data, n):
+        # blocks of 7 rows, so the lengths sit on each side of block edges;
+        # the shared columns draw from a small pool, so their values repeat
+        floats = st.one_of(
+            st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310,
+                             1e-05, 1e16, 1e22, 0.1]),
+            st.floats(),
+        )
+        pool = st.sampled_from(data.draw(st.lists(floats, min_size=1, max_size=4)))
+        int64 = st.integers(-(2**63), 2**63 - 1)
+        cols = {}
+        for c in experiments._COLUMNS:
+            if c.names:
+                values = st.integers(0, len(c.names) - 1)
+            elif c.dtype is np.bool_:
+                values = st.booleans()
+            elif c.optional:
+                values = st.one_of(st.sampled_from([-1, 0, 1]), int64)
+            elif c.dtype is np.int64:
+                values = int64
+            else:
+                values = st.one_of(pool, floats) if c.shared else floats
+            cols[c.attr] = np.array(data.draw(st.lists(values, min_size=n, max_size=n)), c.dtype)
+        trace = Trace(config={}, ledger=ErrorLedger(), **cols)
+        expected = "".join(
+            json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+            for rec in trace.iter_records()
+        )
+        buf = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "_CHUNK_OUT", 7)
+            trace.write_records(buf)
+        assert buf.getvalue() == expected
 
     def test_round_trip_from_a_generator_across_chunks(self, monkeypatch):
         monkeypatch.setattr(experiments, "_CHUNK_OUT", 7)

@@ -322,11 +322,24 @@ class TestValidation:
             (dict(alpha=0.2, beta=0.3, seed=-1), "seed"),
             (dict(alpha=0.2, beta=0.3, seed=True), "seed"),
             (dict(alpha=0.2, beta=0.3, seed=1.0), "seed"),
+            # a bool or a string is not a number: neither is echoed or compared
+            (dict(alpha="0.1", beta=0.3), "alpha"),
+            (dict(alpha=0.2, beta=None), "beta"),
+            (dict(alpha=0.2, beta=0.3, eta=True), "eta"),
+            (dict(alpha=0.2, beta=0.3, q_accept=True), "q_accept"),
+            (dict(alpha=0.2, beta=0.3, q_reject="1"), "q_reject"),
+            (dict(alpha=0.2, beta=0.3, tau_reject_init=False), "tau_reject_init"),
+            (dict(alpha=0.2, beta=0.3, tau_accept_init="0.9"), "tau_accept_init"),
+            (dict(alpha=0.2, beta=0.3, eta=math.nan), "eta"),
         ],
     )
     def test_errors_name_the_field(self, kwargs, field):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
             PolicyConfig(**kwargs)
+
+    def test_numpy_scalars_are_numbers(self):
+        cfg = PolicyConfig(alpha=np.float64(0.2), beta=np.float32(0.25), eta=np.int64(1), q_accept=1)
+        assert cfg.alpha == 0.2 and cfg.eta == 1
 
     @pytest.mark.parametrize("eta, q", [(1e307, 0.1), (1e308, 1.0)])
     def test_an_eta_with_a_finite_band_keeps_the_thresholds_finite(self, eta, q):

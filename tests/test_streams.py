@@ -113,8 +113,9 @@ class TestLinks:
         assert np.allclose(apply_link({"kind": "power", "exponent": 2.0}, w), w**2)
 
     def test_bad_links_rejected(self):
-        with pytest.raises(ValueError):
-            apply_link({"kind": "power", "exponent": 0.0}, np.array([0.5]))
+        for k in (0.0, True, "2"):
+            with pytest.raises(ValueError, match=f"power link exponent must be a number > 0, got {k!r}"):
+                apply_link({"kind": "power", "exponent": k}, np.array([0.5]))
         with pytest.raises(ValueError):
             apply_link({"kind": "sigmoid"}, np.array([0.5]))
 
@@ -398,6 +399,10 @@ class TestStepwise:
             dict(retries=False),
             dict(retries="1"),
             dict(seed=True),
+            # a bool or a string is not a probability
+            dict(step_correct_prob=True),
+            dict(step_correct_prob="0.7"),
+            dict(step_correct_prob=None),
         ],
     )
     def test_validation(self, kw):
