@@ -574,6 +574,54 @@ def test_task_stream_draws_are_pinned():
     )
 
 
+def test_non_reactive_draws_are_pinned():
+    # SHA-256 of each non-reactive kind read through uneven takes mixed with
+    # next, and through sample_items; the drift segments sit around the
+    # block edges, so a block that straddled a segment would change it
+    specs = [
+        {
+            "kind": "calibrated",
+            "score_dist": MixtureDist(0.6, BetaDist(8.0, 2.0), BetaDist(2.0, 6.0)).to_dict(),
+            "seed": 3,
+        },
+        {
+            "kind": "miscalibrated",
+            "score_dist": BetaDist(2.0, 2.0).to_dict(),
+            "link": {"kind": "power", "exponent": 1.5},
+            "seed": 5,
+        },
+        {
+            "kind": "drift",
+            "segments": [
+                {"score_dist": d.to_dict(), "length": n}
+                for d, n in zip(
+                    [BetaDist(2.0, 5.0), UniformDist(), BetaDist(5.0, 2.0), PointMass(0.4)],
+                    [1, CHUNK - 1, CHUNK + 1, 10],
+                )
+            ],
+            "seed": 9,
+        },
+    ]
+    h = hashlib.sha256()
+    for spec in specs:
+        stream = make_stream(spec)
+        for n in (0, 1, None, 4094, None, 3, 4100, None, None, 7, 2, 4095, 1, 100):
+            if n is None:
+                item = stream.next()
+                h.update(repr(item and (item.w, item.g_latent)).encode())
+                continue
+            w, g = stream.take(n)
+            h.update(w.tobytes())
+            h.update(g.tobytes())
+        for seed in (None, 11):
+            w, g = sample_items(spec, 9000, seed=seed)
+            h.update(w.tobytes())
+            h.update(g.tobytes())
+    assert h.hexdigest() == (
+        "9c5b2d70c82e4be0dba8f3988a4f79b31aa623ab4f90a846b764b74b53672a6b"
+    )
+
+
 class TestScoreReport:
     def test_point_mass_half_has_zero_sharpness(self):
         spec = {"kind": "calibrated", "score_dist": PointMass(0.5).to_dict(), "seed": 1}
