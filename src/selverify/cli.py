@@ -181,12 +181,6 @@ def _summary_metrics(ledger: ErrorLedger) -> dict:
     }
 
 
-def _number(value, what: str, within: str = "") -> float:
-    """`value` as a float, once `_check_number` has checked it."""
-    _check_number(what, value, within)
-    return float(value)
-
-
 def _process_count() -> int:
     """How many processes `simulate` or `check` may run at once: one per
     CPU this process may run on, and one where processes cannot be
@@ -329,7 +323,7 @@ def _trace_writer(cfg: dict, claims: bool = False, most: Optional[int] = None):
     a time, as `write` takes them; a task stream runs in memory at once."""
     rep = cfg.get("rep", 0)
     _check_count("rep", rep, 0)
-    delta = _number(cfg.get("delta", 0.05), "delta", within=" in (0, 1)")
+    delta = _check_number("delta", cfg.get("delta", 0.05), " in (0, 1)")
     spec = RunSpec(
         policy=PolicyConfig.from_dict(cfg["policy"]),
         stream=cfg["stream"],
@@ -411,14 +405,10 @@ def cmd_sweep(args) -> int:
     if args.seed is not None:
         cfg["seed_base"] = args.seed
     template = PolicyConfig.from_dict(cfg["policy"])
-    targets = [
-        (_number(a, f"targets[{i}][0]"), _number(b, f"targets[{i}][1]"))
-        for i, (a, b) in enumerate(cfg["targets"])
-    ]
     rows = sweep(
         policy_template=template,
         stream_spec=cfg["stream"],
-        targets=targets,
+        targets=cfg["targets"],
         repetitions=cfg.get("repetitions", 1),
         seed_base=cfg.get("seed_base", 0),
     )
@@ -443,8 +433,8 @@ def cmd_population(args) -> int:
     cfg = _load_config(args.config)
     _apply_overrides(cfg, args.set)
     dist = dist_from_dict(cfg["score_dist"])
-    alpha0 = _number(cfg["alpha0"], "alpha0")
-    alpha1 = _number(cfg["alpha1"], "alpha1")
+    alpha0 = _check_number("alpha0", cfg["alpha0"])
+    alpha1 = _check_number("alpha1", cfg["alpha1"])
     calibrated = cfg.get("calibrated", False)
     if not isinstance(calibrated, bool):
         raise ValueError(f"calibrated must be true or false, got {calibrated!r}")
@@ -455,7 +445,7 @@ def cmd_population(args) -> int:
     worst_tol = 0.0
     all_ok = True
     for i, pair in enumerate(cfg["pairs"]):
-        lam1, lam2 = (_number(pair[j], f"pairs[{i}][{j}]") for j in (0, 1))
+        lam1, lam2 = (_check_number(f"pairs[{i}][{j}]", pair[j]) for j in (0, 1))
         spec = PopulationSpec(
             score_dist=dist,
             lambda1=lam1,
@@ -670,7 +660,7 @@ def _check_trace(fh) -> _Certificate:
 
 
 def cmd_check(args) -> int:
-    delta = None if args.delta is None else _number(args.delta, "--delta", within=" in (0, 1)")
+    delta = None if args.delta is None else _check_number("--delta", args.delta, " in (0, 1)")
     try:
         fh = _open_trace(args.trace)
     except OSError as exc:
@@ -713,8 +703,6 @@ def cmd_diagnose(args) -> int:
     _apply_overrides(cfg, args.set)
     seed = args.seed if args.seed is not None else cfg.get("seed")
     samples, bins = cfg.get("samples", 10**5), cfg.get("bins", 20)
-    _check_count("samples", samples, 1)
-    _check_count("bins", bins, 1)
     report = score_report(cfg["stream"], samples=samples, bins=bins, seed=seed)
     out = _resolve_output(args.output, "diagnose.json")
     with _atomic_write(out) as fh:

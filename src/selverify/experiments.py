@@ -38,15 +38,10 @@ import numpy as np
 from . import _kernel
 from ._kernel import ACTION_ACCEPT, ACTION_REJECT, ACTION_STRONG_VERIFY
 from .metrics import ErrorLedger, delta_bound
-from .policy import Action, PolicyConfig, ProtocolError, Region, VerificationPolicy, _check_count
-from .streams import (
-    CalibratedStream,
-    MiscalibratedStream,
-    VerifierStream,
-    make_stream,
-    run_strong_only,
-    run_weak_only,
+from .policy import (
+    Action, PolicyConfig, ProtocolError, Region, VerificationPolicy, _check_count, _check_number,
 )
+from .streams import VerifierStream, make_stream, run_strong_only, run_weak_only
 
 __all__ = [
     "RunSpec",
@@ -599,8 +594,9 @@ def _kernel_path(stream: VerifierStream, horizon: Optional[int], force_engine: b
     """Whether a run of `stream` takes the array kernel: only a
     non-reactive stream that draws arrays (`take`) does, unless
     force_engine is set. Raises ValueError if the stream never exhausts
-    and there is no horizon."""
-    if horizon is None and isinstance(stream, (CalibratedStream, MiscalibratedStream)):
+    (a built-in non-reactive stream's `total_length` is None) and there is
+    no horizon."""
+    if horizon is None and getattr(stream, "total_length", 0) is None:
         raise ValueError("this stream never exhausts; a horizon is required")
     return not (stream.reactive or force_engine) and hasattr(stream, "take")
 
@@ -621,6 +617,8 @@ def run_one(
     `next`, `answer_strong_query` and `spec_dict`, plus `react` and
     `outcome` if it is reactive.
     """
+    if horizon is not None:
+        _check_count("horizon", horizon, 0)
     if echo is None:
         echo = {"policy": config.to_dict(), "stream": stream.spec_dict(), "horizon": horizon}
     if _kernel_path(stream, horizon, force_engine):
@@ -825,5 +823,9 @@ def sweep(
     """All target rows in order, then the oracle and weak-only anchors."""
     if not targets:
         raise ValueError("sweep needs at least one (alpha, beta) target")
-    jobs = [(float(a), float(b)) for a, b in targets] + ["oracle", "weak_only"]
+    jobs = [
+        (_check_number(f"targets[{i}][0]", a), _check_number(f"targets[{i}][1]", b))
+        for i, (a, b) in enumerate(targets)
+    ]
+    jobs += ["oracle", "weak_only"]
     return [sweep_point(policy_template, stream_spec, job, repetitions, seed_base) for job in jobs]

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .policy import _check_number
+
 __all__ = ["ErrorLedger", "delta_bound"]
 
 
@@ -67,14 +69,12 @@ def delta_bound(n: int, delta: float, eta: float, q_min: float) -> float:
     q_min : float
         Smallest exploration probability, in (0, 1].
     """
-    if not (isinstance(n, int) and n >= 0):
+    # a plain int only: neither a bool nor a numpy integer
+    if type(n) is not int or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if not eta > 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    if not 0.0 < q_min <= 1.0:
-        raise ValueError(f"q_min must be in (0, 1], got {q_min}")
+    _check_number("delta", delta, " in (0, 1)")
+    _check_number("eta", eta, " > 0")
+    _check_number("q_min", q_min, " in (0, 1]")
     if n == 0:
         return 0.0
     log_term = math.log(4.0 / delta)

@@ -60,17 +60,20 @@ def _check_count(name: str, v, low: int) -> None:
 _WITHIN = {
     "": lambda v: True,
     " > 0": lambda v: v > 0.0,
+    " >= 0": lambda v: v >= 0.0,
     " in (0, 1)": lambda v: 0.0 < v < 1.0,
     " in (0, 1]": lambda v: 0.0 < v <= 1.0,
     " in [0, 1]": lambda v: 0.0 <= v <= 1.0,
 }
 
 
-def _check_number(name: str, v, within: str = "") -> None:
-    """Raise ValueError unless `v` is a number (a numpy scalar is, a bool
-    or a string is not) in the interval `within`, a key of `_WITHIN`."""
+def _check_number(name: str, v, within: str = "") -> float:
+    """`v` as a float; raise ValueError unless it is a number (a numpy
+    scalar is, a bool or a string is not) in the interval `within`, a key
+    of `_WITHIN`."""
     if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)) or not _WITHIN[within](v):
         raise ValueError(f"{name} must be a number{within}, got {v!r}")
+    return float(v)
 
 
 @dataclass(frozen=True)

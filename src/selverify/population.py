@@ -95,13 +95,12 @@ class PopulationSpec:
     calibrated: bool = False
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError(
-                f"cost weights must be nonnegative, got "
-                f"lambda1={self.lambda1}, lambda2={self.lambda2}"
-            )
+        for name in ("lambda1", "lambda2"):
+            _check_number(name, getattr(self, name), " >= 0")
         for name in ("alpha0", "alpha1"):
             _check_number(name, getattr(self, name), " in (0, 1)")
+        if not isinstance(self.calibrated, bool):
+            raise ValueError(f"calibrated must be true or false, got {self.calibrated!r}")
         if abs(self.alpha0 + self.alpha1 - 1.0) > 1e-12:
             raise ValueError(
                 f"alpha0 + alpha1 must equal 1, got {self.alpha0 + self.alpha1!r}"

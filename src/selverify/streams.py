@@ -4,8 +4,12 @@ Every stream hands out (weak score, latent strong label) pairs through one
 small interface: `next` yields the pending item, `answer_strong_query`
 reveals its label at the cost of one strong call, and `react` reports the
 caller's final accept/reject so task-structured streams can redraw or
-finalize. Non-reactive streams (calibrated, miscalibrated, drifting) ignore
-`react`; the best-of-n and stepwise streams use it to drive per-problem and
+finalize. The non-reactive streams ignore `react`. They are one state
+machine, `_BufferedStream`: score-law segments in order, each label drawn
+as Bernoulli(link(score)). A calibrated stream is one endless segment under
+the identity link, a miscalibrated one an endless segment under its link,
+and a drift stream a finite list of segments under the identity link. The
+best-of-n and stepwise streams use `react` to drive per-problem and
 per-episode bookkeeping. Those two are one state machine, `_TaskStream`: a
 best-of-n problem is a unit of one step with `budget` attempts, a stepwise
 episode is a unit of `steps` steps with `retries + 1` attempts each and a
@@ -144,27 +148,30 @@ def apply_link(link: dict, w: np.ndarray) -> np.ndarray:
 
 
 class _BufferedStream(VerifierStream):
-    """Non-reactive base: scores in blocks, labels Bernoulli(link(score))."""
+    """The one non-reactive state machine: score-law segments in order, each
+    label Bernoulli(link(score)).
 
-    def __init__(self, seed: int):
+    `segments` is a list of (score law, length); the last length may be
+    None, and then the stream never ends (`total_length` is None). Blocks of
+    at most CHUNK never straddle a segment, so the item sequence is a
+    function of the spec alone.
+    """
+
+    def __init__(self, segments: list[tuple[ScoreDist, Optional[int]]], link: dict, seed: int):
         _check_count("seed", seed, 0)
+        apply_link(link, np.array([0.5]))
         self.seed = int(seed)
+        self.link = dict(link)
+        self.segments = segments
+        lengths = [length for _, length in segments]
+        self.total_length = None if None in lengths else sum(lengths)
         self._rng = np.random.default_rng(self.seed)
         self._buf_w = np.empty(0)
         self._buf_g = np.empty(0, dtype=np.int64)
         self._pos = 0
-        self._exhausted = False
+        self._seg = 0
+        self._seg_pos = 0
         self._pending: Optional[StreamItem] = None
-
-    def _next_block(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """Draw the next block of (scores, labels), or None when done."""
-        raise NotImplementedError
-
-    def _draw_block(self, dist: ScoreDist, link: dict, n: int):
-        w = dist.sample(self._rng, n)
-        u = self._rng.random(n)
-        g = (u < apply_link(link, w)).astype(np.int64)
-        return w, g
 
     def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Advance by up to n items, returned as arrays.
@@ -172,27 +179,26 @@ class _BufferedStream(VerifierStream):
         Shares the block source with `next`, so interleaving the two access
         styles never changes the item sequence.
         """
-        if n < 0:
-            raise ValueError(f"n must be nonnegative, got {n}")
+        _check_count("n", n, 0)
         ws, gs = [], []
-        need = n
-        while need > 0:
-            avail = self._buf_w.size - self._pos
-            if avail == 0:
-                if self._exhausted:
+        while n > 0:
+            if self._pos == self._buf_w.size:
+                if self._seg == len(self.segments):
                     break
-                block = self._next_block()
-                if block is None:
-                    self._exhausted = True
-                    break
-                self._buf_w, self._buf_g = block
+                dist, length = self.segments[self._seg]
+                k = CHUNK if length is None else min(CHUNK, length - self._seg_pos)
+                self._seg_pos += k
+                if self._seg_pos == length:
+                    self._seg, self._seg_pos = self._seg + 1, 0
+                self._buf_w = dist.sample(self._rng, k)
+                u = self._rng.random(k)
+                self._buf_g = (u < apply_link(self.link, self._buf_w)).astype(np.int64)
                 self._pos = 0
-                continue
-            k = min(avail, need)
+            k = min(self._buf_w.size - self._pos, n)
             ws.append(self._buf_w[self._pos : self._pos + k])
             gs.append(self._buf_g[self._pos : self._pos + k])
             self._pos += k
-            need -= k
+            n -= k
         if not ws:
             return np.empty(0), np.empty(0, dtype=np.int64)
         return np.concatenate(ws), np.concatenate(gs)
@@ -212,17 +218,15 @@ class _BufferedStream(VerifierStream):
 
 
 class CalibratedStream(_BufferedStream):
-    """Scores i.i.d. from score_dist, labels Bernoulli(score).
+    """Scores i.i.d. from score_dist, labels Bernoulli(score): one endless
+    segment.
 
     The label draw makes Pr[g=1 | W=w] = w hold by construction.
     """
 
     def __init__(self, score_dist: ScoreDist, seed: int):
-        super().__init__(seed)
+        super().__init__([(score_dist, None)], {"kind": "identity"}, seed)
         self.score_dist = score_dist
-
-    def _next_block(self):
-        return self._draw_block(self.score_dist, {"kind": "identity"}, CHUNK)
 
     def spec_dict(self) -> dict:
         return {
@@ -233,16 +237,12 @@ class CalibratedStream(_BufferedStream):
 
 
 class MiscalibratedStream(_BufferedStream):
-    """Scores i.i.d. from score_dist, labels Bernoulli(link(score))."""
+    """Scores i.i.d. from score_dist, labels Bernoulli(link(score)): one
+    endless segment."""
 
     def __init__(self, score_dist: ScoreDist, link: dict, seed: int):
-        super().__init__(seed)
-        apply_link(link, np.array([0.5]))
+        super().__init__([(score_dist, None)], link, seed)
         self.score_dist = score_dist
-        self.link = dict(link)
-
-    def _next_block(self):
-        return self._draw_block(self.score_dist, self.link, CHUNK)
 
     def spec_dict(self) -> dict:
         return {
@@ -254,36 +254,14 @@ class MiscalibratedStream(_BufferedStream):
 
 
 class DriftStream(_BufferedStream):
-    """Finite concatenation of calibrated segments with distinct score laws.
-
-    Blocks never straddle a segment boundary, so the item sequence is a
-    function of the spec alone.
-    """
+    """Finite concatenation of calibrated segments with distinct score laws."""
 
     def __init__(self, segments: list[tuple[ScoreDist, int]], seed: int):
-        super().__init__(seed)
         if not segments:
             raise ValueError("drift stream needs at least one segment")
         for _, length in segments:
             _check_count("segment length", length, 1)
-        self.segments = [(dist, int(length)) for dist, length in segments]
-        self._seg_index = 0
-        self._seg_pos = 0
-
-    @property
-    def total_length(self) -> int:
-        return sum(length for _, length in self.segments)
-
-    def _next_block(self):
-        if self._seg_index >= len(self.segments):
-            return None
-        dist, length = self.segments[self._seg_index]
-        n = min(CHUNK, length - self._seg_pos)
-        self._seg_pos += n
-        if self._seg_pos == length:
-            self._seg_index += 1
-            self._seg_pos = 0
-        return self._draw_block(dist, {"kind": "identity"}, n)
+        super().__init__([(dist, int(length)) for dist, length in segments], {"kind": "identity"}, seed)
 
     def spec_dict(self) -> dict:
         return {
@@ -589,8 +567,7 @@ def sample_items(spec: dict, n: int, seed: Optional[int] = None):
     Non-reactive streams are consumed directly (drift yields at most its
     total length). Task streams are sampled i.i.d. at the candidate level.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    _check_count("n", n, 0)
     stream = make_stream(spec, seed=seed)
     if isinstance(stream, _TaskStream):
         return stream._sample_candidates(n)
@@ -607,10 +584,8 @@ def score_report(
     [0, 1] into equal bins and compares each bin's empirical correctness
     rate with its mean score.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
+    _check_count("samples", samples, 1)
+    _check_count("bins", bins, 1)
     w, g = sample_items(spec, samples, seed=seed)
     n = int(w.size)
     if n == 0:
@@ -720,8 +695,7 @@ def preset_calibrated(level: str, seed: int = 0) -> dict:
 def preset_drift(total_length: int = 10**5, seed: int = 0) -> dict:
     """Calibrated drift spec alternating a low-score and a high-score
     regime (segment means near 0.29 and 0.71) in four equal segments."""
-    if total_length < 4:
-        raise ValueError(f"total_length must be >= 4, got {total_length}")
+    _check_count("total_length", total_length, 4)
     seg_len = total_length // 4
     lengths = [seg_len, seg_len, seg_len, total_length - 3 * seg_len]
     dists = [BetaDist(2.0, 5.0), BetaDist(5.0, 2.0)] * 2

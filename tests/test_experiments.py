@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from selverify import (
     BetaDist,
     CalibratedStream,
     DriftStream,
+    MiscalibratedStream,
     ParetoPoint,
     PointMass,
     PolicyConfig,
@@ -158,8 +160,30 @@ class TestBookkeeping:
         assert led.type1_policy == led.type2_policy == 0
 
     def test_endless_streams_require_a_horizon(self):
-        with pytest.raises(ValueError):
-            run_one(config(), CalibratedStream(UniformDist(), seed=0), horizon=None)
+        power = {"kind": "power", "exponent": 2.0}
+        for stream in (
+            CalibratedStream(UniformDist(), seed=0),
+            MiscalibratedStream(UniformDist(), power, seed=0),
+        ):
+            assert stream.total_length is None
+            with pytest.raises(ValueError, match="^this stream never exhausts; a horizon is required$"):
+                run_one(config(), stream)
+        drift = DriftStream([(UniformDist(), 5), (PointMass(0.5), 3)], seed=0)
+        assert drift.total_length == 8
+        assert len(run_one(config(), drift)) == 8
+        # a custom stream names no length: it runs until it runs out, on the
+        # engine without `take` and on the kernel with it
+        items = [StreamItem(0.2, 0), StreamItem(0.5, 1), StreamItem(0.9, 1)]
+        agreement = TestEngineKernelAgreement
+        for stream in (agreement.Scripted(items, reactive=False), agreement.Taking(items)):
+            assert len(run_one(config(), stream)) == 3
+
+    @pytest.mark.parametrize("horizon", [2.5, 3.0, True, -1, "3"])
+    def test_a_horizon_is_a_count_on_both_paths(self, horizon):
+        for force_engine in (False, True):
+            stream = CalibratedStream(UniformDist(), seed=0)
+            with pytest.raises(ValueError, match=f"horizon must be an integer >= 0, got {horizon!r}"):
+                run_one(config(), stream, horizon=horizon, force_engine=force_engine)
 
     def test_finite_stream_runs_to_exhaustion(self):
         trace = run_one(config(), make_stream(preset_drift(5_000, seed=2)), horizon=None)
@@ -878,6 +902,16 @@ class TestSweep:
             sweep(self.template(), self.spec(), [], repetitions=1, seed_base=0)
         with pytest.raises(ValueError):
             sweep_point(self.template(), self.spec(), (0.1, 0.1), 0, 0)
+        # a target is read as it is: a string or a bool is not a number
+        for targets, message in (
+            ([("0.1", "0.2")], "targets[0][0] must be a number, got '0.1'"),
+            ([(0.1, 0.2), (0.2, True)], "targets[1][1] must be a number, got True"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                sweep(self.template(), self.spec(), targets, repetitions=1, seed_base=0)
+        # numpy scalars are numbers, and a row carries plain floats
+        (row, *_) = sweep(self.template(), self.spec(), [(np.float64(0.1), np.float32(0.25))], 1, 0)
+        assert (row.alpha, row.beta) == (0.1, 0.25) and type(row.beta) is float
 
     def test_pareto_point_validation(self):
         kw = dict(alpha=None, beta=None, accuracy=0.5, accuracy_stderr=0.0,

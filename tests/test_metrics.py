@@ -1,5 +1,7 @@
 """Ledger accounting against a hand-tallied trace, and the slack bound."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,19 @@ class TestDeltaBound:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             delta_bound(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(n=True), "n must be a nonnegative integer, got True"),
+        (dict(delta=True), "delta must be a number in (0, 1), got True"),
+        (dict(delta="0.05"), "delta must be a number in (0, 1), got '0.05'"),
+        (dict(eta=True), "eta must be a number > 0, got True"),
+        (dict(q_min=True), "q_min must be a number in (0, 1], got True"),
+        (dict(q_min=float("nan")), "q_min must be a number in (0, 1], got nan"),
+    ])
+    def test_a_bool_or_a_string_is_refused_by_name(self, kwargs, message):
+        args = {**dict(n=10, delta=0.05, eta=0.05, q_min=0.1), **kwargs}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            delta_bound(**args)
 
     def test_n_must_be_a_plain_int(self):
         with pytest.raises(ValueError):

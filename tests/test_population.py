@@ -1,6 +1,8 @@
 """Population-optimal policy: closed forms against quadrature, Monte Carlo,
 and the exhaustive per-atom grid oracle."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,6 +229,19 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             PopulationSpec(score_dist=UniformDist(), lambda1=-1.0, lambda2=1.0,
                            alpha0=0.5, alpha1=0.5)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("lambda1", True, "lambda1 must be a number >= 0, got True"),
+        ("lambda1", "1", "lambda1 must be a number >= 0, got '1'"),
+        ("lambda2", -1.0, "lambda2 must be a number >= 0, got -1.0"),
+        ("lambda2", float("nan"), "lambda2 must be a number >= 0, got nan"),
+        ("calibrated", "yes", "calibrated must be true or false, got 'yes'"),
+        ("calibrated", 1, "calibrated must be true or false, got 1"),
+    ])
+    def test_a_bad_field_is_refused_by_name(self, field, value, message):
+        kw = dict(score_dist=UniformDist(), lambda1=1.0, lambda2=1.0, alpha0=0.5, alpha1=0.5)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PopulationSpec(**{**kw, field: value})
 
     def test_calibration_pins_alpha1_to_the_mean(self):
         PopulationSpec(score_dist=UniformDist(), lambda1=1.0, lambda2=1.0,

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -519,8 +520,18 @@ class TestSampleItems:
         assert g.mean() == pytest.approx(0.922, abs=0.005)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            sample_items(UNIFORM_SPEC, -1)
+        # a count is read as it is: a float or a bool is not one
+        for n in (-1, 2.5, 3.0, True, "3"):
+            message = re.escape(f"n must be an integer >= 0, got {n!r}")
+            with pytest.raises(ValueError, match=message):
+                sample_items(UNIFORM_SPEC, n)
+            with pytest.raises(ValueError, match=message):
+                make_stream(UNIFORM_SPEC).take(n)
+        for kw in (dict(samples=2.5), dict(samples=0), dict(bins=True), dict(bins="3")):
+            ((name, value),) = kw.items()
+            message = re.escape(f"{name} must be an integer >= 1, got {value!r}")
+            with pytest.raises(ValueError, match=message):
+                score_report(UNIFORM_SPEC, **kw)
         with pytest.raises(ValueError):
             sample_items({"kind": "laplace"}, 10)
         incomplete = preset_math_like("easy")
@@ -703,8 +714,9 @@ class TestPresets:
         assert isinstance(stream, DriftStream)
         assert stream.total_length == 10**5
         assert len(stream.segments) == 4
-        with pytest.raises(ValueError):
-            preset_drift(total_length=3)
+        for n in (3, 10.5, 8.0, True):
+            with pytest.raises(ValueError, match=re.escape(f"total_length must be an integer >= 4, got {n!r}")):
+                preset_drift(total_length=n)
 
     def test_drift_preset_alternates_low_and_high_regimes(self):
         means = [d.mean() for d, _ in make_stream(preset_drift(10**4)).segments]
