@@ -826,6 +826,5 @@ def sweep(
     jobs = [
         (_check_number(f"targets[{i}][0]", a), _check_number(f"targets[{i}][1]", b))
         for i, (a, b) in enumerate(targets)
-    ]
-    jobs += ["oracle", "weak_only"]
+    ] + ["oracle", "weak_only"]
     return [sweep_point(policy_template, stream_spec, job, repetitions, seed_base) for job in jobs]
