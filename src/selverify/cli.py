@@ -64,7 +64,7 @@ from .experiments import (
     verify_bound,
 )
 from .metrics import ErrorLedger
-from .policy import PolicyConfig, ProtocolError, _check_count, _check_number
+from .policy import PolicyConfig, ProtocolError, _check_count, _check_number, _check_pair
 from .population import (
     PolicyKind,
     PopulationSpec,
@@ -444,8 +444,13 @@ def cmd_population(args) -> int:
     worst_gap = 0.0
     worst_tol = 0.0
     all_ok = True
-    for i, pair in enumerate(cfg["pairs"]):
-        lam1, lam2 = (_check_number(f"pairs[{i}][{j}]", pair[j]) for j in (0, 1))
+    pairs = cfg["pairs"]
+    if not isinstance(pairs, list):
+        raise ValueError(f"pairs must be a list of pairs, got {pairs!r}")
+    if not pairs:
+        raise ValueError("pairs must hold at least one pair")
+    for i, pair in enumerate(pairs):
+        lam1, lam2 = _check_pair(f"pairs[{i}]", pair)
         spec = PopulationSpec(
             score_dist=dist,
             lambda1=lam1,

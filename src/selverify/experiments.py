@@ -18,8 +18,10 @@ text costs more than the kernel. One reader,
 `Trace.from_records` joins and `check` uses to tell a round record from a
 malformed line. The ledger and the claim checks are one fold over column
 chunks (`_Certificate`). Sweeps evaluate a grid of error
-targets plus the two baseline anchors, with stream seeds shared across
-targets and anchors so comparisons are paired.
+targets plus the two baseline anchors a repetition at a time, with stream
+seeds shared across targets and anchors so comparisons are paired; where
+the difficulty draws nothing, the rows of a repetition also read one tape
+of candidates, each drawn once.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from . import _kernel
 from ._kernel import ACTION_ACCEPT, ACTION_REJECT, ACTION_STRONG_VERIFY
 from .metrics import ErrorLedger, delta_bound
 from .policy import (
-    Action, PolicyConfig, ProtocolError, Region, VerificationPolicy, _check_count, _check_number,
+    Action, PolicyConfig, ProtocolError, Region, VerificationPolicy, _check_count, _check_pair,
 )
 from .streams import VerifierStream, make_stream, run_strong_only, run_weak_only
 
@@ -742,27 +744,65 @@ class ParetoPoint:
             raise ValueError("a row cannot be both anchors at once")
 
 
-def _aggregate_point(
-    alpha, beta, accs, strongs, weaks, err1s, err2s, is_oracle=False, is_weak_only=False
-) -> ParetoPoint:
-    accs = np.asarray(accs, dtype=np.float64)
+def _aggregate_point(job, runs: list) -> ParetoPoint:
+    """The sweep row of a job, (alpha, beta), "oracle" or "weak_only", from
+    the (outcome, err1, err2) of each repetition."""
+    outs, err1s, err2s = zip(*runs)
+    accs = np.array([out.accuracy for out in outs], dtype=np.float64)
+    strongs = [out.strong_calls_per_problem for out in outs]
     reps = accs.size
     stderr = float(accs.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+    anchor = isinstance(job, str)
     return ParetoPoint(
-        alpha=alpha,
-        beta=beta,
+        alpha=None if anchor else job[0],
+        beta=None if anchor else job[1],
         accuracy=float(accs.mean()),
         accuracy_stderr=stderr,
         strong_per_problem=float(np.mean(strongs)),
-        weak_per_problem=float(np.mean(weaks)),
-        err1=float(np.mean(err1s)) if err1s is not None else None,
-        err2=float(np.mean(err2s)) if err2s is not None else None,
+        weak_per_problem=float(np.mean([out.weak_calls_per_problem for out in outs])),
+        err1=None if job == "weak_only" else float(np.mean(err1s)),
+        err2=None if job == "weak_only" else float(np.mean(err2s)),
         reps=reps,
-        is_oracle=is_oracle,
-        is_weak_only=is_weak_only,
+        is_oracle=job == "oracle",
+        is_weak_only=job == "weak_only",
         rep_accuracy=tuple(float(a) for a in accs),
         rep_strong=tuple(float(s) for s in strongs),
     )
+
+
+def _sweep_rows(
+    policy_template: PolicyConfig,
+    stream_spec: dict,
+    jobs: list,
+    repetitions: int,
+    seed_base: int,
+) -> list[ParetoPoint]:
+    """The rows of checked jobs, run repetition-major: every row of a
+    repetition reads a fresh stream of the repetition's seed, and those
+    streams read one tape of candidates where the difficulty draws nothing
+    (`_share_tape`), so each candidate is drawn once. Only one repetition's
+    tape is held."""
+    _check_count("repetitions", repetitions, 1)
+    _check_count("seed_base", seed_base, 0)
+    if not make_stream(stream_spec).reactive:
+        raise ValueError("sweeps need a task stream with per-problem outcomes")
+    runs = [[] for _ in jobs]  # per job, the (outcome, err1, err2) of each repetition
+    for rep in range(repetitions):
+        stream_seed = derive_seed(seed_base, rep, _STREAM_CHANNEL)
+        policy_seed = derive_seed(seed_base, rep, _POLICY_CHANNEL)
+        first = None
+        for job, job_runs in zip(jobs, runs):
+            stream = make_stream(stream_spec, seed=stream_seed)._share_tape(first)
+            first = first or stream
+            if job == "oracle":
+                job_runs.append((run_strong_only(stream), 0.0, 0.0))
+            elif job == "weak_only":
+                job_runs.append((run_weak_only(stream), None, None))
+            else:
+                config = dataclasses.replace(policy_template, alpha=job[0], beta=job[1], seed=policy_seed)
+                trace = run_one(config, stream, horizon=None)
+                job_runs.append((trace.outcome, trace.ledger.err_type1(), trace.ledger.err_type2()))
+    return [_aggregate_point(job, job_runs) for job, job_runs in zip(jobs, runs)]
 
 
 def sweep_point(
@@ -775,42 +815,14 @@ def sweep_point(
     """Evaluate one sweep row: target=(alpha, beta), "oracle", or "weak_only".
 
     Self-contained given its arguments, so rows can be computed in any
-    order or split across processes and still match a serial sweep.
+    order or split across processes and still match a serial sweep: a row
+    reads the same candidates whether its repetition's tape is shared with
+    other rows or not.
     """
-    _check_count("repetitions", repetitions, 1)
-    _check_count("seed_base", seed_base, 0)
-    probe = make_stream(stream_spec)
-    if not probe.reactive:
-        raise ValueError("sweeps need a task stream with per-problem outcomes")
-    accs, strongs, weaks = [], [], []
-    err1s, err2s = [], []
-    for rep in range(repetitions):
-        stream_seed = derive_seed(seed_base, rep, _STREAM_CHANNEL)
-        stream = make_stream(stream_spec, seed=stream_seed)
-        if target == "oracle":
-            out = run_strong_only(stream)
-            err1s.append(0.0)
-            err2s.append(0.0)
-        elif target == "weak_only":
-            out = run_weak_only(stream)
-        else:
-            alpha, beta = target
-            policy_seed = derive_seed(seed_base, rep, _POLICY_CHANNEL)
-            config = dataclasses.replace(
-                policy_template, alpha=alpha, beta=beta, seed=policy_seed
-            )
-            trace = run_one(config, stream, horizon=None)
-            out = trace.outcome
-            err1s.append(trace.ledger.err_type1())
-            err2s.append(trace.ledger.err_type2())
-        accs.append(out.accuracy)
-        strongs.append(out.strong_calls_per_problem)
-        weaks.append(out.weak_calls_per_problem)
-    if target == "oracle":
-        return _aggregate_point(None, None, accs, strongs, weaks, err1s, err2s, is_oracle=True)
-    if target == "weak_only":
-        return _aggregate_point(None, None, accs, strongs, weaks, None, None, is_weak_only=True)
-    return _aggregate_point(target[0], target[1], accs, strongs, weaks, err1s, err2s)
+    if not (isinstance(target, str) and target in ("oracle", "weak_only")):
+        target = _check_pair("target", target)
+    (row,) = _sweep_rows(policy_template, stream_spec, [target], repetitions, seed_base)
+    return row
 
 
 def sweep(
@@ -820,11 +832,14 @@ def sweep(
     repetitions: int,
     seed_base: int,
 ) -> list[ParetoPoint]:
-    """All target rows in order, then the oracle and weak-only anchors."""
+    """All target rows in order, then the oracle and weak-only anchors.
+
+    The rows are run repetition-major. Where the stream's difficulty draws
+    nothing (a point mass, as in every preset and every stepwise stream), a
+    repetition's candidates are drawn once and every row of the repetition
+    reads them; the rows equal those `sweep_point` computes one at a time.
+    """
     if not targets:
         raise ValueError("sweep needs at least one (alpha, beta) target")
-    jobs = [
-        (_check_number(f"targets[{i}][0]", a), _check_number(f"targets[{i}][1]", b))
-        for i, (a, b) in enumerate(targets)
-    ] + ["oracle", "weak_only"]
-    return [sweep_point(policy_template, stream_spec, job, repetitions, seed_base) for job in jobs]
+    jobs = [_check_pair(f"targets[{i}]", t) for i, t in enumerate(targets)]
+    return _sweep_rows(policy_template, stream_spec, jobs + ["oracle", "weak_only"], repetitions, seed_base)

@@ -76,6 +76,14 @@ def _check_number(name: str, v, within: str = "") -> float:
     return float(v)
 
 
+def _check_pair(name: str, v) -> tuple[float, float]:
+    """`v` as a pair of floats; raise ValueError, naming it, unless it is a
+    list, tuple or array of two numbers."""
+    if not isinstance(v, (list, tuple, np.ndarray)) or len(v) != 2:
+        raise ValueError(f"{name} must be a pair of numbers, got {v!r}")
+    return _check_number(f"{name}[0]", v[0]), _check_number(f"{name}[1]", v[1])
+
+
 @dataclass(frozen=True)
 class Thresholds:
     """Threshold pair: reject strictly below `reject`, accept strictly above

@@ -13,11 +13,16 @@ best-of-n and stepwise streams use `react` to drive per-problem and
 per-episode bookkeeping. Those two are one state machine, `_TaskStream`: a
 best-of-n problem is a unit of one step with `budget` attempts, a stepwise
 episode is a unit of `steps` steps with `retries + 1` attempts each and a
-point-mass difficulty. An external verifier can stand in for any of these
-by subclassing `VerifierStream` with `next`, `answer_strong_query` and
-`spec_dict`, plus `react` and `outcome` if it is reactive. `run_one` sends
-a non-reactive stream to the array kernel only if it also draws arrays
-(`take`, as the built-in ones do), and runs any other stream item by item.
+point-mass difficulty. A task stream reads its candidates off a tape that
+draws each one on its first read. Fresh streams of one spec and seed whose
+difficulty draws nothing (a point mass) draw the same candidates whatever
+their decisions, so the rows of a sweep's repetition read one tape and
+each candidate is drawn once. An external verifier can stand in for any of
+these by subclassing `VerifierStream` with `next`, `answer_strong_query`
+and `spec_dict`, plus `react` and `outcome` if it is reactive. `run_one`
+sends a non-reactive stream to the array kernel only if it also draws
+arrays (`take`, as the built-in ones do), and runs any other stream item
+by item.
 
 Environment randomness is always a separate generator from policy
 randomness, seeded from the stream spec alone, so item sequences replay
@@ -27,6 +32,7 @@ given the same decision sequence, for reactive ones).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -274,6 +280,31 @@ class DriftStream(_BufferedStream):
         }
 
 
+class _Tape:
+    """A task stream's candidates in draw order, each drawn on its first
+    read: the label, then the score. Scores sit in an array('d') and labels
+    in a bytearray, so a tape costs 9 bytes a candidate."""
+
+    __slots__ = ("rng", "correct_scores", "incorrect_scores", "w", "g")
+
+    def __init__(self, seed: int, correct_scores: ScoreDist, incorrect_scores: ScoreDist):
+        self.rng = np.random.default_rng(seed)
+        self.correct_scores = correct_scores
+        self.incorrect_scores = incorrect_scores
+        self.w = array("d")
+        self.g = bytearray()
+
+    def draw_to(self, n: int, p: float) -> None:
+        """Extend the tape to n candidates, each new one correct with
+        probability p; a tape that long already is left as it is."""
+        rng, w, g = self.rng, self.w, self.g
+        samplers = (self.incorrect_scores.sample, self.correct_scores.sample)
+        for _ in range(n - len(g)):
+            label = rng.random() < p
+            g.append(label)
+            w.append(samplers[label](rng))
+
+
 class _TaskStream(VerifierStream):
     """Reactive base of the task streams: the one task-stream state machine.
 
@@ -286,6 +317,13 @@ class _TaskStream(VerifierStream):
     Rejecting a step redraws it; a step that runs out of draws fails the
     unit at once. A rejection that followed a strong query redraws the same
     way and still spends a draw.
+
+    The i-th draw reads the i-th candidate off the stream's tape, which
+    draws it first if the tape holds only i. Fresh streams of one spec and
+    seed whose difficulty draws nothing (a point mass) draw the same
+    candidates whatever their decisions, so they may read one tape
+    (`_share_tape`); with any other difficulty the candidates depend on when
+    each unit starts, and every stream reads its own.
     """
 
     reactive = True
@@ -305,7 +343,7 @@ class _TaskStream(VerifierStream):
         self.correct_scores = correct_scores
         self.incorrect_scores = incorrect_scores
         self.seed = int(seed)
-        self._rng = np.random.default_rng(self.seed)
+        self._tape = _Tape(self.seed, correct_scores, incorrect_scores)
         self._pending: Optional[StreamItem] = None
         self._units = int(units)
         self._steps = int(steps)
@@ -320,23 +358,24 @@ class _TaskStream(VerifierStream):
         self._weak_calls = 0
         self._strong_calls = 0
 
-    def _draw(self, p: float) -> tuple[float, int]:
-        """One candidate, correct with probability p: label, then score."""
-        g = 1 if self._rng.random() < p else 0
-        dist = self.correct_scores if g == 1 else self.incorrect_scores
-        w = dist.sample(self._rng)
-        self._weak_calls += 1
-        return w, g
+    def _share_tape(self, other: Optional["_TaskStream"]) -> "_TaskStream":
+        """Read the candidates off the tape of `other`, a stream of the same
+        spec and seed, if there is one and the difficulty is a point mass;
+        otherwise keep this stream's own tape. Returns self."""
+        if other is not None and isinstance(self._difficulty, PointMass):
+            self._tape = other._tape
+        return self
 
     def _sample_candidates(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """n i.i.d. candidates: success probabilities, labels, then the
         correct scores, then the incorrect ones."""
-        p = self._difficulty.sample(self._rng, n)
-        g = (self._rng.random(n) < p).astype(np.int64)
+        rng = self._tape.rng
+        p = self._difficulty.sample(rng, n)
+        g = (rng.random(n) < p).astype(np.int64)
         w = np.empty(n)
         n1 = int(g.sum())
-        w[g == 1] = self.correct_scores.sample(self._rng, n1)
-        w[g == 0] = self.incorrect_scores.sample(self._rng, n - n1)
+        w[g == 1] = self.correct_scores.sample(rng, n1)
+        w[g == 0] = self.incorrect_scores.sample(rng, n - n1)
         return w, g
 
     def next(self) -> Optional[StreamItem]:
@@ -344,12 +383,16 @@ class _TaskStream(VerifierStream):
             raise ProtocolError("pending candidate awaits react()")
         if self._finished >= self._units:
             return None
+        tape = self._tape
         if self._draws == 0 and self._step == 0:
-            self._p = self._difficulty.sample(self._rng)
-        w, g = self._draw(self._p)
+            self._p = self._difficulty.sample(tape.rng)
+        i = self._weak_calls
+        if i == len(tape.g):
+            tape.draw_to(i + 1, self._p)
+        self._weak_calls = i + 1
         self._draws += 1
         step = self._step if self._indexes_steps else None
-        self._pending = StreamItem(w, g, self._finished, step)
+        self._pending = StreamItem(tape.w[i], tape.g[i], self._finished, step)
         return self._pending
 
     def answer_strong_query(self) -> int:
@@ -394,21 +437,19 @@ class _TaskStream(VerifierStream):
 
     def run_weak_only(self) -> TaskOutcome:
         """Greedy baseline: never query the strong verifier. Each step
-        takes the highest-scored of `attempts` draws, and every step is
-        drawn, even after a wrong one."""
+        takes the first highest-scored of `attempts` draws, and every step
+        is drawn, even after a wrong one."""
         if self._weak_calls or self._finished:
             raise ProtocolError("baseline runs need a fresh stream")
-        for _ in range(self._units):
-            p = self._difficulty.sample(self._rng)
-            correct = True
-            for _ in range(self._steps):
-                best_w, best_g = -1.0, 0
-                for _ in range(self._attempts):
-                    w, g = self._draw(p)
-                    if w > best_w:
-                        best_w, best_g = w, g
-                correct &= best_g == 1
-            self._finalize(correct)
+        tape, per_unit = self._tape, self._steps * self._attempts
+        for unit in range(1, self._units + 1):
+            tape.draw_to(unit * per_unit, self._difficulty.sample(tape.rng))
+        n = self._units * per_unit
+        w = np.frombuffer(tape.w, count=n).reshape(-1, self._attempts)
+        g = np.frombuffer(tape.g, np.uint8, count=n).reshape(-1, self._attempts)
+        best = g[np.arange(len(g)), w.argmax(axis=1)].reshape(self._units, self._steps)
+        self._correct = int(np.count_nonzero(best.all(axis=1)))
+        self._finished, self._weak_calls = self._units, n
         return self.outcome()
 
 

@@ -705,6 +705,11 @@ class TestSweep:
         # read as they are, not converted with float()
         ("targets", [["0.1", "0.2"]], "targets[0][0] must be a number, got '0.1'"),
         ("targets", [[0.1, 0.2], [0.2, True]], "targets[1][1] must be a number, got True"),
+        # a target that is not a pair is named, not unpacked
+        ("targets", [[0.1, 0.2, 0.3]], "targets[0] must be a pair of numbers, got [0.1, 0.2, 0.3]"),
+        ("targets", [[0.1, 0.2], [0.1]], "targets[1] must be a pair of numbers, got [0.1]"),
+        ("targets", [0.1], "targets[0] must be a pair of numbers, got 0.1"),
+        ("targets", ["ab"], "targets[0] must be a pair of numbers, got 'ab'"),
     ])
     def test_a_bad_count_is_refused_before_any_run(
         self, tmp_path, capsys, monkeypatch, field, value, message
@@ -805,6 +810,11 @@ class TestPopulation:
         ("alpha1", True, "alpha1 must be a number, got True"),
         ("pairs", [["2", True]], "pairs[0][0] must be a number, got '2'"),
         ("pairs", [[1.0, 1.0], [2, True]], "pairs[1][1] must be a number, got True"),
+        # a pair of three is refused, not cut to two, and no pairs is no check
+        ("pairs", [[1, 2, 3]], "pairs[0] must be a pair of numbers, got [1, 2, 3]"),
+        ("pairs", [[1.0, 1.0], 2.0], "pairs[1] must be a pair of numbers, got 2.0"),
+        ("pairs", [], "pairs must hold at least one pair"),
+        ("pairs", {"a": 1}, "pairs must be a list of pairs, got {'a': 1}"),
     ])
     def test_miscalibrated_fractions_are_a_validation_error(self, tmp_path, capsys, field, value, message):
         cfg = write_config(

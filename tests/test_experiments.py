@@ -6,7 +6,9 @@ import io
 import itertools
 import json
 import math
+import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +22,7 @@ from selverify import (
     CalibratedStream,
     DriftStream,
     MiscalibratedStream,
+    MixtureDist,
     ParetoPoint,
     PointMass,
     PolicyConfig,
@@ -41,6 +44,8 @@ from selverify import (
     run,
     run_one,
     run_rep,
+    run_strong_only,
+    run_weak_only,
     sweep,
     sweep_point,
     verify_bound,
@@ -923,6 +928,78 @@ class TestSweep:
             ParetoPoint(**{**kw, "accuracy": 1.5})
         with pytest.raises(ValueError):
             ParetoPoint(**{**kw, "reps": 0})
+
+    # a point-mass best-of-n stream and a stepwise stream share each
+    # repetition's tape across rows; a mixture difficulty draws randomness
+    # at each unit's start, so each row keeps a tape of its own
+    SHARED_TAPE_SPECS = {
+        "best_of_n": preset_math_like("easy", problems=60, budget=3, seed=0),
+        "stepwise": {
+            "kind": "stepwise", "episodes": 40, "steps": 3, "step_correct_prob": 0.8,
+            "correct_scores": BetaDist(8.0, 2.0).to_dict(),
+            "incorrect_scores": BetaDist(3.0, 6.0).to_dict(),
+            "retries": 2, "seed": 0,
+        },
+    }
+    MIXTURE_SPEC = {
+        **preset_math_like("medium", problems=60, budget=3, seed=0),
+        "difficulty": MixtureDist(0.6, PointMass(0.9), BetaDist(2.0, 3.0)).to_dict(),
+    }
+
+    @pytest.mark.parametrize("name", ["best_of_n", "stepwise", "mixture"])
+    def test_rows_equal_single_rows_in_scrambled_order(self, name):
+        spec = self.SHARED_TAPE_SPECS.get(name, self.MIXTURE_SPEC)
+        targets = [(0.05, 0.05), (0.1, 0.2), (0.3, 0.3)]
+        serial = [dataclasses.asdict(row) for row in sweep(self.template(), spec, targets, 3, 7)]
+        jobs = list(enumerate([*targets, "oracle", "weak_only"]))
+        random.Random(5).shuffle(jobs)
+        single = {i: dataclasses.asdict(sweep_point(self.template(), spec, job, 3, 7)) for i, job in jobs}
+        assert [single[i] for i in range(len(serial))] == serial
+        assert all(len(row["rep_accuracy"]) == len(row["rep_strong"]) == 3 for row in serial)
+
+    @pytest.mark.parametrize("name", ["best_of_n", "stepwise"])
+    def test_anchors_read_off_an_extended_tape_as_off_a_fresh_stream(self, name):
+        spec = self.SHARED_TAPE_SPECS[name]
+        policy = dataclasses.replace(self.template(), alpha=0.2, beta=0.2, seed=3)
+        first = make_stream(spec, seed=11)
+        fresh_trace = run_one(policy, first)
+        tape = first._tape
+        drawn = len(tape.g)
+        for baseline in (run_strong_only, run_weak_only):
+            stream = make_stream(spec, seed=11)._share_tape(first)
+            assert stream._tape is tape
+            assert baseline(stream) == baseline(make_stream(spec, seed=11))
+        # the weak-only anchor drew past where the policy row stopped, and a
+        # policy row reading the whole tape still runs as on a fresh stream
+        assert drawn < len(tape.g)
+        trace = run_one(policy, make_stream(spec, seed=11)._share_tape(first))
+        for col in TRACE_COLUMNS:
+            assert np.array_equal(getattr(trace, col), getattr(fresh_trace, col)), col
+        assert trace.outcome == fresh_trace.outcome
+
+    def test_a_mixture_difficulty_keeps_its_own_tape(self):
+        first = make_stream(self.MIXTURE_SPEC, seed=11)
+        assert make_stream(self.MIXTURE_SPEC, seed=11)._share_tape(first)._tape is not first._tape
+
+    def test_a_sweep_holds_one_repetitions_candidates_at_a_time(self):
+        # 500 one-step episodes of 20 draws each: the weak-only anchor fills
+        # a 10,000-candidate tape (90 kB) per repetition; six more held
+        # tapes would add 540 kB
+        spec = {
+            **self.SHARED_TAPE_SPECS["stepwise"], "episodes": 500, "steps": 1, "retries": 19,
+        }
+
+        def peak(repetitions):
+            tracemalloc.start()
+            try:
+                sweep(self.template(), spec, [(0.3, 0.3)], repetitions, 0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # let first-use allocations happen outside the measurement
+        two, eight = peak(2), peak(8)
+        assert eight - two < 32_000, (two, eight)
 
     def test_rep_columns_do_not_affect_equality(self):
         row = sweep_point(self.template(), self.spec(), (0.1, 0.1), 2, 0)

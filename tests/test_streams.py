@@ -18,6 +18,7 @@ from selverify import (
     BetaDist,
     CalibratedStream,
     DriftStream,
+    GridDist,
     MiscalibratedStream,
     MixtureDist,
     PointMass,
@@ -455,6 +456,33 @@ def test_best_of_n_is_a_one_step_stepwise_stream(problems, budget, p, shapes, se
     best_of_n, stepwise = (s._sample_candidates(64) for s in pair())
     for a, b in zip(best_of_n, stepwise):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["best_of_n", "stepwise"])
+def test_weak_only_keeps_the_first_of_tied_best_scores(kind):
+    # scores on the atoms 0, 0.5 and 1 tie often; in each step the baseline
+    # keeps the first of the highest-scored draws, as a draw-by-draw scan
+    # that replaces only on a strictly higher score does
+    scores = dict(
+        correct_scores=GridDist([0.2, 0.3, 0.5]), incorrect_scores=GridDist([0.5, 0.3, 0.2]), seed=3
+    )
+    if kind == "best_of_n":
+        steps, attempts = 1, 4
+        make = lambda: BestOfNStream(200, attempts, PointMass(0.6), **scores)  # noqa: E731
+    else:
+        steps, attempts = 3, 4
+        make = lambda: StepwiseStream(100, steps, 0.6, retries=attempts - 1, **scores)  # noqa: E731
+    # every draw of every step, in order: reject all but a step's last draw
+    s, draws = make(), []
+    while (item := s.next()) is not None:
+        draws.append((item.w, item.g_latent))
+        s.react(Action.ACCEPT if len(draws) % attempts == 0 else Action.REJECT)
+    pools = [draws[k:k + attempts] for k in range(0, len(draws), attempts)]
+    firsts = [next(g for w, g in pool if w == max(pool)[0]) for pool in pools]
+    correct = sum(all(firsts[u:u + steps]) for u in range(0, len(firsts), steps))
+    out = run_weak_only(make())
+    assert out.problems_correct == correct
+    assert out.weak_calls_per_problem == steps * attempts
 
 
 class TestMakeStream:
