@@ -1,5 +1,6 @@
-"""Array fast path for non-reactive runs, and the column derivation both
-paths share.
+"""Array fast path for runs whose items do not depend on the decisions
+(non-reactive streams, and task streams with a point-mass difficulty), and
+the column derivation both paths share.
 
 `run_rounds` replays the decide/feedback/advance protocol of
 `VerificationPolicy` over pre-drawn score, label, and exploration-uniform

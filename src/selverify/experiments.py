@@ -2,9 +2,12 @@
 
 A run drives one policy against one stream and records every round. For
 non-reactive streams that draw arrays the loop runs on pre-drawn arrays
-through the compiled kernel, which reproduces the engine bit for bit;
-reactive streams go through the engine so final decisions can feed back,
-and so does any stream without `take`. Either path records
+through the compiled kernel, which reproduces the engine bit for bit. So
+does a task stream whose difficulty is a point mass: its candidates do not
+depend on the decisions, so the kernel runs over its tape and the stream
+folds the final decisions in afterwards. Other reactive streams go
+through the engine so final decisions can feed back, and so does any
+stream without `take`. Either path records
 only the sequential state of each round (score, latent label, exploration
 flag, thresholds after the round), and `_kernel.derive_columns` derives
 the other trace columns from it for both. One driver, `_kernel_chunks`,
@@ -43,7 +46,7 @@ from .metrics import ErrorLedger, delta_bound
 from .policy import (
     Action, PolicyConfig, ProtocolError, Region, VerificationPolicy, _check_count, _check_pair,
 )
-from .streams import VerifierStream, make_stream, run_strong_only, run_weak_only
+from .streams import VerifierStream, _TaskStream, make_stream, run_strong_only, run_weak_only
 
 __all__ = [
     "RunSpec",
@@ -592,12 +595,35 @@ def _run_engine(config: PolicyConfig, stream, horizon: Optional[int], echo: dict
     return _trace(echo, _columns(w, g_latent, cols), outcome)
 
 
+def _run_tape(config: PolicyConfig, stream: _TaskStream, horizon: Optional[int], echo: dict) -> Trace:
+    """Run the policy on the array kernel over the tape of a task stream
+    whose candidates do not depend on the decisions (`_on_tape`). The
+    stream folds each chunk's final decisions, accept where the action is
+    accept or a strong query found the candidate correct, and the run stops
+    at the round where the last unit ends. A horizon takes a prefix; the
+    task outcome is set only when the stream ran out first."""
+    chunks = []
+    blocks = stream._blocks(sys.maxsize if horizon is None else horizon)
+    for cols in _kernel_chunks(config, blocks):
+        g, action = cols["g_latent"], cols["action"]
+        strong = action == ACTION_STRONG_VERIFY
+        accepted = np.where(strong, g == 1, action == ACTION_ACCEPT)
+        n = stream._fold(g.tolist(), accepted.tolist(), strong)
+        chunks.append({attr: a[:n] for attr, a in cols.items()})
+    if not chunks:  # no round to run
+        chunks = list(_kernel_chunks(config, [(np.empty(0), np.empty(0))]))
+    cols = {attr: np.concatenate([c[attr] for c in chunks]) for attr in chunks[0]}
+    # the blocks stop short of the horizon only once the last unit has ended
+    ran_out = horizon is None or len(cols["t"]) < horizon
+    return _trace(echo, cols, stream.outcome() if ran_out else None)
+
+
 def _kernel_path(stream: VerifierStream, horizon: Optional[int], force_engine: bool = False) -> bool:
-    """Whether a run of `stream` takes the array kernel: only a
-    non-reactive stream that draws arrays (`take`) does, unless
-    force_engine is set. Raises ValueError if the stream never exhausts
-    (a built-in non-reactive stream's `total_length` is None) and there is
-    no horizon."""
+    """Whether a run of `stream` takes the array kernel over its `take`s:
+    only a non-reactive stream that draws arrays does, unless force_engine
+    is set. Raises ValueError if the stream never exhausts (a built-in
+    non-reactive stream's `total_length` is None) and there is no
+    horizon."""
     if horizon is None and getattr(stream, "total_length", 0) is None:
         raise ValueError("this stream never exhausts; a horizon is required")
     return not (stream.reactive or force_engine) and hasattr(stream, "take")
@@ -613,11 +639,13 @@ def run_one(
     """Drive one policy to completion against one stream.
 
     A non-reactive stream that draws arrays (`take`, as the built-in ones
-    do) runs through the array kernel. Any other stream, and any stream
-    when force_engine is set, runs item by item through the engine; the
-    two paths produce identical traces. So a custom stream needs only
-    `next`, `answer_strong_query` and `spec_dict`, plus `react` and
-    `outcome` if it is reactive.
+    do) runs through the array kernel, and so does a task stream whose
+    difficulty is a point mass (every preset and every stepwise stream),
+    over its tape. Any other stream, and any stream when force_engine is
+    set, runs item by item through the engine; the paths produce identical
+    traces, and leave a task stream's counters alike. So a custom stream
+    needs only `next`, `answer_strong_query` and `spec_dict`, plus `react`
+    and `outcome` if it is reactive.
     """
     if horizon is not None:
         _check_count("horizon", horizon, 0)
@@ -625,6 +653,8 @@ def run_one(
         echo = {"policy": config.to_dict(), "stream": stream.spec_dict(), "horizon": horizon}
     if _kernel_path(stream, horizon, force_engine):
         return _run_kernel(config, stream, horizon, echo)
+    if not force_engine and isinstance(stream, _TaskStream) and stream._on_tape():
+        return _run_tape(config, stream, horizon, echo)
     return _run_engine(config, stream, horizon, echo)
 
 
@@ -780,8 +810,10 @@ def _sweep_rows(
     """The rows of checked jobs, run repetition-major: every row of a
     repetition reads a fresh stream of the repetition's seed, and those
     streams read one tape of candidates where the difficulty draws nothing
-    (`_share_tape`), so each candidate is drawn once. Only one repetition's
-    tape is held."""
+    (`_share_tape`), so each candidate is drawn once. On such a stream the
+    policy rows run on the array kernel and the oracle anchor folds the
+    tape's labels, with no per-item engine; other difficulties run both
+    item by item. Only one repetition's tape is held."""
     _check_count("repetitions", repetitions, 1)
     _check_count("seed_base", seed_base, 0)
     if not make_stream(stream_spec).reactive:
@@ -836,8 +868,9 @@ def sweep(
 
     The rows are run repetition-major. Where the stream's difficulty draws
     nothing (a point mass, as in every preset and every stepwise stream), a
-    repetition's candidates are drawn once and every row of the repetition
-    reads them; the rows equal those `sweep_point` computes one at a time.
+    repetition's candidates are drawn once, every row of the repetition
+    reads them, and the policy rows run on the array kernel; the rows equal
+    those `sweep_point` computes one at a time.
     """
     if not targets:
         raise ValueError("sweep needs at least one (alpha, beta) target")

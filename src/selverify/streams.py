@@ -17,12 +17,14 @@ point-mass difficulty. A task stream reads its candidates off a tape that
 draws each one on its first read. Fresh streams of one spec and seed whose
 difficulty draws nothing (a point mass) draw the same candidates whatever
 their decisions, so the rows of a sweep's repetition read one tape and
-each candidate is drawn once. An external verifier can stand in for any of
+each candidate is drawn once, and a run of such a stream needs no
+per-item loop: the policy runs over the tape's blocks and the stream folds
+its final decisions in. An external verifier can stand in for any of
 these by subclassing `VerifierStream` with `next`, `answer_strong_query`
 and `spec_dict`, plus `react` and `outcome` if it is reactive. `run_one`
 sends a non-reactive stream to the array kernel only if it also draws
-arrays (`take`, as the built-in ones do), and runs any other stream item
-by item.
+arrays (`take`, as the built-in ones do), a task stream only if its
+difficulty is a point mass, and runs any other stream item by item.
 
 Environment randomness is always a separate generator from policy
 randomness, seeded from the stream spec alone, so item sequences replay
@@ -32,9 +34,10 @@ given the same decision sequence, for reactive ones).
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -73,6 +76,9 @@ __all__ = [
 # Non-reactive streams draw in fixed-size blocks so that pulling items one
 # at a time and pulling them as arrays consume the generator identically.
 CHUNK = 4096
+# A task stream's tape blocks (`_TaskStream._blocks`) hold at least this many
+# candidates, short of the run's end.
+_MIN_BLOCK = 64
 
 
 @dataclass
@@ -322,8 +328,10 @@ class _TaskStream(VerifierStream):
     draws it first if the tape holds only i. Fresh streams of one spec and
     seed whose difficulty draws nothing (a point mass) draw the same
     candidates whatever their decisions, so they may read one tape
-    (`_share_tape`); with any other difficulty the candidates depend on when
-    each unit starts, and every stream reads its own.
+    (`_share_tape`), and a run may read it in blocks (`_blocks`) and fold
+    the decisions in afterwards (`_fold`, which `react` calls for one
+    round); with any other difficulty the candidates depend on when each
+    unit starts, and every stream reads its own, one candidate at a time.
     """
 
     reactive = True
@@ -349,6 +357,8 @@ class _TaskStream(VerifierStream):
         self._steps = int(steps)
         self._attempts = int(attempts)
         self._difficulty = difficulty
+        # a point mass's value, read once; None where each unit draws its own
+        self._fixed_p = float(difficulty.value) if isinstance(difficulty, PointMass) else None
         self._p = 0.0
         self._step = 0
         self._draws = 0
@@ -362,9 +372,85 @@ class _TaskStream(VerifierStream):
         """Read the candidates off the tape of `other`, a stream of the same
         spec and seed, if there is one and the difficulty is a point mass;
         otherwise keep this stream's own tape. Returns self."""
-        if other is not None and isinstance(self._difficulty, PointMass):
+        if other is not None and self._fixed_p is not None:
             self._tape = other._tape
         return self
+
+    def _on_tape(self) -> bool:
+        """Whether the candidates still to come are the tape's next ones
+        whatever the decisions: the difficulty is a point mass and no
+        candidate is pending."""
+        return self._fixed_p is not None and self._pending is None
+
+    def _unit_p(self) -> float:
+        """The success probability of a unit that starts now."""
+        return self._difficulty.sample(self._tape.rng) if self._fixed_p is None else self._fixed_p
+
+    def _blocks(self, limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The scores and labels of the next candidates on the tape of a
+        stream `_on_tape`, as `(float64, int64)` blocks, for at most `limit`
+        more rounds and never past the `units × steps × attempts` draws a run
+        can read. Each block is drawn when it is asked for, and the rounds
+        before it must be folded by then: a block is as long as the rounds
+        the unfinished units need at the least, and at least `_MIN_BLOCK`, so
+        a run reads few blocks and draws few candidates past its end. The
+        blocks stop once the last unit has ended."""
+        tape, least = self._tape, min(self._steps, self._attempts)
+        lo = self._weak_calls
+        end = min(lo + limit, self._units * self._steps * self._attempts)
+        while lo < end and self._finished < self._units:
+            hi = min(lo + max((self._units - self._finished - 1) * least + 1, _MIN_BLOCK), end)
+            tape.draw_to(hi, self._fixed_p)
+            # copies: a view would keep the tape from growing
+            yield (
+                np.frombuffer(tape.w, np.float64, hi - lo, 8 * lo).copy(),
+                np.frombuffer(tape.g, np.uint8, hi - lo, lo).astype(np.int64),
+            )
+            lo = hi
+
+    def _fold(
+        self, g: Sequence[int], accepted: Sequence[bool], strong: Optional[np.ndarray] = None
+    ) -> int:
+        """Fold the final decisions of rounds that read the next candidates
+        into the unit bookkeeping: the one definition of what a decision does
+        to the stream. `g` holds the rounds' latent labels and `accepted`
+        whether each was accepted. `strong` flags the rounds that queried
+        the strong verifier, as a boolean array; leave it out where
+        `answer_strong_query` charged them. Stops at the round where the last
+        unit ends and returns the number of rounds folded."""
+        units, steps, attempts = self._units, self._steps, self._attempts
+        finished, step, draws, tainted, correct = (
+            self._finished, self._step, self._draws, self._tainted, self._correct,
+        )
+        n = 0
+        for label, accept in zip(g, accepted):
+            if finished == units:
+                break
+            n += 1
+            if accept:
+                if not label:
+                    tainted = True
+                step += 1
+                draws = 0
+                if step < steps:
+                    continue
+                correct += not tainted
+            else:
+                # a rejection redraws the step, or fails the unit once the
+                # step is out of draws
+                draws += 1
+                if draws < attempts:
+                    continue
+            finished += 1
+            step = draws = 0
+            tainted = False
+        self._finished, self._step, self._draws, self._tainted, self._correct = (
+            finished, step, draws, tainted, correct,
+        )
+        self._weak_calls += n
+        if strong is not None:
+            self._strong_calls += int(np.count_nonzero(strong[:n]))
+        return n
 
     def _sample_candidates(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """n i.i.d. candidates: success probabilities, labels, then the
@@ -385,12 +471,10 @@ class _TaskStream(VerifierStream):
             return None
         tape = self._tape
         if self._draws == 0 and self._step == 0:
-            self._p = self._difficulty.sample(tape.rng)
+            self._p = self._unit_p()
         i = self._weak_calls
         if i == len(tape.g):
             tape.draw_to(i + 1, self._p)
-        self._weak_calls = i + 1
-        self._draws += 1
         step = self._step if self._indexes_steps else None
         self._pending = StreamItem(tape.w[i], tape.g[i], self._finished, step)
         return self._pending
@@ -404,26 +488,10 @@ class _TaskStream(VerifierStream):
     def react(self, final: Action) -> None:
         if self._pending is None:
             raise ProtocolError("no pending candidate to react to")
-        if final is Action.ACCEPT:
-            if self._pending.g_latent == 0:
-                self._tainted = True
-            self._step += 1
-            self._draws = 0
-            if self._step == self._steps:
-                self._finalize(not self._tainted)
-        elif final is Action.REJECT:
-            if self._draws >= self._attempts:
-                self._finalize(False)
-        else:
+        if final is not Action.ACCEPT and final is not Action.REJECT:
             raise ValueError(f"final decision must be accept or reject, got {final!r}")
+        self._fold((self._pending.g_latent,), (final is Action.ACCEPT,))
         self._pending = None
-
-    def _finalize(self, correct: bool) -> None:
-        self._correct += int(correct)
-        self._finished += 1
-        self._step = 0
-        self._draws = 0
-        self._tainted = False
 
     def outcome(self) -> TaskOutcome:
         if self._finished < self._units or self._pending is not None:
@@ -439,11 +507,11 @@ class _TaskStream(VerifierStream):
         """Greedy baseline: never query the strong verifier. Each step
         takes the first highest-scored of `attempts` draws, and every step
         is drawn, even after a wrong one."""
-        if self._weak_calls or self._finished:
+        if self._weak_calls or self._finished or self._pending is not None:
             raise ProtocolError("baseline runs need a fresh stream")
         tape, per_unit = self._tape, self._steps * self._attempts
         for unit in range(1, self._units + 1):
-            tape.draw_to(unit * per_unit, self._difficulty.sample(tape.rng))
+            tape.draw_to(unit * per_unit, self._unit_p())
         n = self._units * per_unit
         w = np.frombuffer(tape.w, count=n).reshape(-1, self._attempts)
         g = np.frombuffer(tape.g, np.uint8, count=n).reshape(-1, self._attempts)
@@ -583,9 +651,17 @@ def make_stream(spec: dict, seed: Optional[int] = None) -> VerifierStream:
 
 def run_strong_only(stream: VerifierStream) -> TaskOutcome:
     """Oracle baseline: query the strong verifier on every candidate and
-    accept exactly the correct ones."""
+    accept exactly the correct ones. A task stream with a point-mass
+    difficulty folds its tape's labels a block at a time; any other
+    reactive stream runs one candidate at a time."""
     if not stream.reactive:
         raise ValueError("the oracle baseline needs a task stream")
+    if isinstance(stream, _TaskStream) and stream._on_tape():
+        # every round is escalated, and accepted exactly where correct
+        for _, g in stream._blocks(sys.maxsize):
+            labels = g.tolist()
+            stream._fold(labels, labels, np.ones(g.size, np.bool_))
+        return stream.outcome()
     while True:
         item = stream.next()
         if item is None:

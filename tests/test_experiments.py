@@ -21,6 +21,7 @@ from selverify import (
     BetaDist,
     CalibratedStream,
     DriftStream,
+    GridDist,
     MiscalibratedStream,
     MixtureDist,
     ParetoPoint,
@@ -403,6 +404,91 @@ class TestEngineKernelAgreement:
             runs.append((np.array(end[:2]), np.array(end[2]), *outs))
         for compiled, python in zip(*runs):
             assert_bitwise_equal(compiled, python)
+
+
+def score_laws():
+    grid = st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4).map(
+        lambda w: GridDist(np.array(w) / sum(w))
+    )
+    beta = st.tuples(st.floats(0.5, 10.0), st.floats(0.5, 10.0)).map(lambda ab: BetaDist(*ab))
+    return st.one_of(st.floats(0.0, 1.0).map(PointMass), beta, grid)
+
+
+@st.composite
+def point_mass_task_specs(draw):
+    """A small best-of-n or stepwise spec with a point-mass difficulty."""
+    p = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+    scores = {
+        "correct_scores": draw(score_laws()).to_dict(),
+        "incorrect_scores": draw(score_laws()).to_dict(),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+    if draw(st.booleans()):
+        return {"kind": "best_of_n", "problems": draw(st.integers(1, 6)),
+                "budget": draw(st.integers(1, 4)), "difficulty": PointMass(p).to_dict(), **scores}
+    return {"kind": "stepwise", "episodes": draw(st.integers(1, 5)), "steps": draw(st.integers(1, 3)),
+            "step_correct_prob": p, "retries": draw(st.integers(0, 2)), **scores}
+
+
+def strong_only_by_item(stream) -> TaskOutcome:
+    """The oracle baseline one candidate at a time: each is queried and
+    accepted exactly where it is correct."""
+    while stream.next() is not None:
+        g = stream.answer_strong_query()
+        stream.react(Action.ACCEPT if g == 1 else Action.REJECT)
+    return stream.outcome()
+
+
+def outcome_or_error(stream):
+    try:
+        return stream.outcome()
+    except ProtocolError as exc:
+        return str(exc)
+
+
+class TestTapePath:
+    """A task stream with a point-mass difficulty runs on the array kernel
+    over its tape; every other task stream runs on the engine."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        spec=point_mass_task_specs(),
+        cfg=st.builds(
+            config,
+            alpha=st.floats(0.01, 0.5),
+            beta=st.floats(0.01, 0.5),
+            q_accept=st.sampled_from([0.1, 0.3, 1.0]),
+            q_reject=st.sampled_from([0.1, 0.3, 1.0]),
+            seed=st.integers(0, 2**32 - 1),
+        ),
+        cut=st.sampled_from(["none", "end", "past", "short"]),
+        fraction=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_the_tape_path_equals_the_engine(self, spec, cfg, cut, fraction):
+        end = len(run_one(cfg, make_stream(spec), force_engine=True))
+        horizon = {"none": None, "end": end, "past": end + 1, "short": int(fraction * end)}[cut]
+        engine_stream, tape_stream = make_stream(spec), make_stream(spec)
+        engine = run_one(cfg, engine_stream, horizon=horizon, force_engine=True)
+        tape = run_one(cfg, tape_stream, horizon=horizon)
+        assert_traces_equal(tape, engine)
+        # the outcome belongs to a stream that ran out before the horizon
+        assert tape.outcome == engine.outcome
+        assert (tape.outcome is None) == (cut in ("end", "short"))
+        assert outcome_or_error(tape_stream) == outcome_or_error(engine_stream)
+        # the oracle finishes each stream from where the run left it, on the
+        # tape and one candidate at a time alike
+        assert run_strong_only(tape_stream) == strong_only_by_item(engine_stream)
+        assert run_strong_only(make_stream(spec)) == strong_only_by_item(make_stream(spec))
+
+    @pytest.mark.parametrize("difficulty", [
+        PointMass(0.8), MixtureDist(0.6, PointMass(0.9), BetaDist(2.0, 3.0)), BetaDist(4.0, 1.0),
+    ])
+    def test_only_a_point_mass_difficulty_takes_the_tape(self, difficulty, monkeypatch):
+        spec = {**preset_math_like("easy", problems=30, budget=3, seed=2), "difficulty": difficulty.to_dict()}
+        ref = run_one(config(seed=3), make_stream(spec), force_engine=True)
+        unused = "_run_engine" if isinstance(difficulty, PointMass) else "_run_tape"
+        monkeypatch.setattr(experiments, unused, None)
+        assert_traces_equal(run_one(config(seed=3), make_stream(spec)), ref)
 
 
 class TestSeeds:

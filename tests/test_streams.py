@@ -599,7 +599,8 @@ def test_task_stream_draws_are_pinned():
     assert h.hexdigest() == (
         "d6977c3d360fa030bb750c393e238f5e65cc880ea0e90968097ed01091778473"
     )
-    # a policy run through the engine reaches `react` on both specs; its
+    # a policy run on each spec, through the engine (and `react`) on the
+    # mixture difficulty and on the tape kernel on the stepwise stream; its
     # columns and outcome pin the reactive draws
     h = hashlib.sha256()
     config = PolicyConfig(alpha=0.1, beta=0.1, eta=0.05, seed=4)
