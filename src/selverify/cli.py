@@ -26,6 +26,10 @@ rows in its own memory and hands the bytes back through a pipe, and the
 command process alone copies them into the sink, in order. Where a fork
 fails, the command process runs that range and every later one itself.
 Output, verdicts and exit codes do not depend on the number of processes.
+sweep runs its repetitions in forked workers through the same helpers
+(`experiments._sweep_rows`): this process runs the first share of them
+and reads the other shares' results back, so its CSV does not depend on
+the number of processes either.
 """
 
 from __future__ import annotations
@@ -52,11 +56,15 @@ from .experiments import (
     RunSpec,
     _Certificate,
     _REQUIRED,
+    _fork,
     _kernel_chunks,
     _kernel_path,
+    _process_count,
+    _reap,
     _record_chunks,
     _rep_setup,
     _takes,
+    _wait,
     _write_rows,
     check_claims,
     run_rep,
@@ -181,51 +189,6 @@ def _summary_metrics(ledger: ErrorLedger) -> dict:
     }
 
 
-def _process_count() -> int:
-    """How many processes `simulate` or `check` may run at once: one per
-    CPU this process may run on, and one where processes cannot be
-    forked. So `taskset -c 0` runs either command in one process."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _fork(work) -> Optional[tuple[int, io.FileIO]]:
-    """Fork a process that runs `work(out)` on an in-memory binary file,
-    writes what `out` then holds to a pipe and ends, with exit code 0 if
-    all that succeeded and 1 if not. Returns its pid and the pipe's read
-    end, or None where no process can be forked."""
-    rfd, wfd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(rfd)
-        os.close(wfd)
-        return None
-    if pid:
-        os.close(wfd)
-        return pid, open(rfd, "rb", buffering=0)
-    code = 1
-    try:
-        os.close(rfd)
-        out = io.BytesIO()
-        work(out)
-        with open(wfd, "wb") as pipe:
-            pipe.write(out.getbuffer())
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _wait(pid: int, what: str) -> None:
-    """Wait for the process `pid` to end. Unless it exited 0, raise an
-    error that says how the process `what` ended."""
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code:
-        how = f"signal {-code}" if code < 0 else f"exit code {code}"
-        raise ChildProcessError(f"the process {what} ended by {how}")
-
-
 @contextlib.contextmanager
 def _in_order(works, procs: int, what: str) -> Iterator[Iterator]:
     """Run the callables `work(out)` of `works`, each of which writes its
@@ -267,15 +230,7 @@ def _in_order(works, procs: int, what: str) -> Iterator[Iterator]:
     try:
         yield copies()
     finally:
-        for pid, got in started:  # left by a failed command
-            if pid is not None:
-                import signal  # not with the package: only a failed command needs it
-
-                # kill before waiting: the processes forked later hold this
-                # pipe's read end too, so closing it does not stop the writer
-                os.kill(pid, signal.SIGKILL)
-                got.close()
-                os.waitpid(pid, 0)
+        _reap(started)  # what a failed command leaves
 
 
 def _format_range(chunks, cert: _Certificate, out) -> None:

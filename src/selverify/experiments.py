@@ -24,17 +24,25 @@ chunks (`_Certificate`). Sweeps evaluate a grid of error
 targets plus the two baseline anchors a repetition at a time, with stream
 seeds shared across targets and anchors so comparisons are paired; where
 the difficulty draws nothing, the rows of a repetition also read one tape
-of candidates, each drawn once.
+of candidates, each drawn once. A sweep splits its repetitions into
+contiguous shares, one per CPU: the calling process runs the first and
+forked workers (`_fork`, which `simulate` and `check` use too) the others,
+and the rows do not depend on how many processes ran them.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import io
 import itertools
 import json
 import math
 import operator
+import os
+import pickle
 import sys
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
@@ -800,6 +808,93 @@ def _aggregate_point(job, runs: list) -> ParetoPoint:
     )
 
 
+def _process_count() -> int:
+    """How many processes `simulate`, `check` or a sweep may run at once:
+    one per CPU this process may run on, and one where processes cannot be
+    forked. So `taskset -c 0` runs each of them in one process."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork(work) -> Optional[tuple[int, io.FileIO]]:
+    """Fork a process that runs `work(out)` on an in-memory binary file,
+    writes what `out` then holds to a pipe and ends, with exit code 0 if
+    all that succeeded and 1 if not. Returns its pid and the pipe's read
+    end, or None where no process can be forked."""
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        return None
+    if pid:
+        os.close(wfd)
+        return pid, open(rfd, "rb", buffering=0)
+    code = 1
+    try:
+        os.close(rfd)
+        out = io.BytesIO()
+        work(out)
+        with open(wfd, "wb") as pipe:
+            pipe.write(out.getbuffer())
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _wait(pid: int, what: str) -> None:
+    """Wait for the process `pid` to end. Unless it exited 0, raise an
+    error that says how the process `what` ended."""
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code:
+        how = f"signal {-code}" if code < 0 else f"exit code {code}"
+        raise ChildProcessError(f"the process {what} ended by {how}")
+
+
+def _reap(started) -> None:
+    """Kill, and wait for, the process of each (pid, pipe) of `started`
+    that has a pid: what a failed call leaves."""
+    for pid, pipe in started:
+        if pid is not None:
+            import signal  # not with the package: only a failed call needs it
+
+            # kill before waiting: the processes forked later hold this
+            # pipe's read end too, so closing it does not stop the writer
+            os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
+def _rep_runs(policy_template: PolicyConfig, stream_spec: dict, jobs: list, seed_base: int, reps) -> list:
+    """Per repetition of `reps`, in order, the (outcome, err1, err2) of each
+    job: every row of a repetition reads a fresh stream of the repetition's
+    seed, and those streams read one tape of candidates where the
+    difficulty draws nothing (`_share_tape`), so each candidate is drawn
+    once. On such a stream the policy rows run on the array kernel and the
+    oracle anchor folds the tape's labels, with no per-item engine; other
+    difficulties run both item by item. Only one repetition's tape is held."""
+    out = []
+    for rep in reps:
+        stream_seed = derive_seed(seed_base, rep, _STREAM_CHANNEL)
+        policy_seed = derive_seed(seed_base, rep, _POLICY_CHANNEL)
+        first, runs = None, []
+        for job in jobs:
+            stream = make_stream(stream_spec, seed=stream_seed)._share_tape(first)
+            first = first or stream
+            if job == "oracle":
+                runs.append((run_strong_only(stream), 0.0, 0.0))
+            elif job == "weak_only":
+                runs.append((run_weak_only(stream), None, None))
+            else:
+                config = dataclasses.replace(policy_template, alpha=job[0], beta=job[1], seed=policy_seed)
+                trace = run_one(config, stream, horizon=None)
+                runs.append((trace.outcome, trace.ledger.err_type1(), trace.ledger.err_type2()))
+        out.append(runs)
+    return out
+
+
 def _sweep_rows(
     policy_template: PolicyConfig,
     stream_spec: dict,
@@ -807,34 +902,44 @@ def _sweep_rows(
     repetitions: int,
     seed_base: int,
 ) -> list[ParetoPoint]:
-    """The rows of checked jobs, run repetition-major: every row of a
-    repetition reads a fresh stream of the repetition's seed, and those
-    streams read one tape of candidates where the difficulty draws nothing
-    (`_share_tape`), so each candidate is drawn once. On such a stream the
-    policy rows run on the array kernel and the oracle anchor folds the
-    tape's labels, with no per-item engine; other difficulties run both
-    item by item. Only one repetition's tape is held."""
+    """The rows of checked jobs, run repetition-major (`_rep_runs`).
+
+    The repetitions are split into `min(_process_count(), repetitions)`
+    contiguous shares, the larger first. A process is forked for each share
+    but the first (`_fork`), then this process runs the first share, and
+    then it reads each worker's pickled runs, in share order. Where a fork
+    fails, this process runs that share and every later one itself; it runs
+    them all where another thread is alive, since a fork copies only the
+    calling thread. No worker outlives the call. The rows do not depend on
+    the number of processes: repetition r reads the seeds of r alone."""
     _check_count("repetitions", repetitions, 1)
     _check_count("seed_base", seed_base, 0)
     if not make_stream(stream_spec).reactive:
         raise ValueError("sweeps need a task stream with per-problem outcomes")
-    runs = [[] for _ in jobs]  # per job, the (outcome, err1, err2) of each repetition
-    for rep in range(repetitions):
-        stream_seed = derive_seed(seed_base, rep, _STREAM_CHANNEL)
-        policy_seed = derive_seed(seed_base, rep, _POLICY_CHANNEL)
-        first = None
-        for job, job_runs in zip(jobs, runs):
-            stream = make_stream(stream_spec, seed=stream_seed)._share_tape(first)
-            first = first or stream
-            if job == "oracle":
-                job_runs.append((run_strong_only(stream), 0.0, 0.0))
-            elif job == "weak_only":
-                job_runs.append((run_weak_only(stream), None, None))
-            else:
-                config = dataclasses.replace(policy_template, alpha=job[0], beta=job[1], seed=policy_seed)
-                trace = run_one(config, stream, horizon=None)
-                job_runs.append((trace.outcome, trace.ledger.err_type1(), trace.ledger.err_type2()))
-    return [_aggregate_point(job, job_runs) for job, job_runs in zip(jobs, runs)]
+    run = functools.partial(_rep_runs, policy_template, stream_spec, jobs, seed_base)
+    procs = min(_process_count(), repetitions) if threading.active_count() == 1 else 1
+    size, extra = divmod(repetitions, procs)
+    starts = [i * size + min(i, extra) for i in range(procs + 1)]
+    first, *rest = [range(a, b) for a, b in zip(starts, starts[1:])]
+    started = []
+    try:
+        for share in rest:
+            got = _fork(lambda out, share=share: pickle.dump(run(share), out, pickle.HIGHEST_PROTOCOL))
+            if got is None:
+                break
+            started.append(got)
+        per_rep = run(first)
+        left = [runs for share in rest[len(started):] for runs in run(share)]
+        while started:
+            pid, pipe = started[0]
+            with pipe:
+                got = pipe.read()
+            del started[0]
+            _wait(pid, "running part of the sweep")
+            per_rep += pickle.loads(got)
+    finally:
+        _reap(started)
+    return [_aggregate_point(job, job_runs) for job, job_runs in zip(jobs, zip(*per_rep, *left))]
 
 
 def sweep_point(

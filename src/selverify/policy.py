@@ -13,7 +13,7 @@ stream shifts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from typing import Optional
 
@@ -168,6 +168,15 @@ class PolicyConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "PolicyConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"policy must be an object, got {d!r}")
+        names = [f.name for f in fields(PolicyConfig)]
+        unknown = [k for k in d if k not in names]
+        if unknown:
+            raise ValueError(f"policy has unknown key {unknown[0]!r}")
+        missing = [f.name for f in fields(PolicyConfig) if f.default is MISSING and f.name not in d]
+        if missing:
+            raise ValueError(f"policy lacks {', '.join(missing)}")
         return PolicyConfig(**d)
 
 

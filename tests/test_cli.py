@@ -88,7 +88,8 @@ STEPWISE_SPEC = {
 
 
 def read_lines(path):
-    return [json.loads(line) for line in open(path) if line.strip()]
+    with open(path) as fh:
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 class TestSimulate:
@@ -446,6 +447,30 @@ def test_an_endless_stream_without_a_horizon_writes_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [tmp_path / "sim.json"]
 
 
+# a bad policy is named by what is wrong with it
+BAD_POLICIES = [
+    ("policy", {k: v for k, v in POLICY.items() if k != "alpha"}, "policy lacks alpha"),
+    ("policy", {k: v for k, v in POLICY.items() if k not in ("alpha", "beta")}, "policy lacks alpha, beta"),
+    ("policy", {**POLICY, "alhpa": 0.1}, "policy has unknown key 'alhpa'"),
+    ("policy", [0.1], "policy must be an object, got [0.1]"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", BAD_POLICIES)
+def test_a_bad_policy_is_named_before_any_round_runs(tmp_path, capsys, monkeypatch, field, value, message):
+    cfg = write_config(tmp_path, "sim.json", {
+        "policy": POLICY, "stream": UNIFORM_STREAM, "horizon": 100, "seed_base": 0, field: value,
+    })
+
+    def no_rounds(*args):
+        raise AssertionError("a round ran")
+
+    monkeypatch.setattr(experiments._kernel, "run_rounds", no_rounds)
+    assert main(["simulate", "-c", cfg, "-o", str(tmp_path / "t.jsonl")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "sim.json"]
+
+
 @pytest.mark.parametrize("field, value, rule", [
     *[("horizon", v, "an integer >= 1") for v in (10000.0, True, "100")],
     *[("delta", v, "a number in (0, 1)") for v in (1.5, 0, "0.05", True, None)],
@@ -710,6 +735,7 @@ class TestSweep:
         ("targets", [[0.1, 0.2], [0.1]], "targets[1] must be a pair of numbers, got [0.1]"),
         ("targets", [0.1], "targets[0] must be a pair of numbers, got 0.1"),
         ("targets", ["ab"], "targets[0] must be a pair of numbers, got 'ab'"),
+        *BAD_POLICIES,
     ])
     def test_a_bad_count_is_refused_before_any_run(
         self, tmp_path, capsys, monkeypatch, field, value, message

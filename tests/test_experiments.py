@@ -6,8 +6,11 @@ import io
 import itertools
 import json
 import math
+import os
 import random
 import re
+import signal
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -1067,7 +1070,7 @@ class TestSweep:
         first = make_stream(self.MIXTURE_SPEC, seed=11)
         assert make_stream(self.MIXTURE_SPEC, seed=11)._share_tape(first)._tape is not first._tape
 
-    def test_a_sweep_holds_one_repetitions_candidates_at_a_time(self):
+    def test_a_sweep_holds_one_repetitions_candidates_at_a_time(self, monkeypatch):
         # 500 one-step episodes of 20 draws each: the weak-only anchor fills
         # a 10,000-candidate tape (90 kB) per repetition; six more held
         # tapes would add 540 kB
@@ -1083,6 +1086,8 @@ class TestSweep:
             finally:
                 tracemalloc.stop()
 
+        # tracemalloc sees this process alone, so the repetitions run here
+        monkeypatch.setattr(experiments, "_process_count", lambda: 1)
         peak(1)  # let first-use allocations happen outside the measurement
         two, eight = peak(2), peak(8)
         assert eight - two < 32_000, (two, eight)
@@ -1091,3 +1096,97 @@ class TestSweep:
         row = sweep_point(self.template(), self.spec(), (0.1, 0.1), 2, 0)
         stripped = dataclasses.replace(row, rep_accuracy=(), rep_strong=())
         assert stripped == row
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestShardedSweep:
+    """A sweep runs its repetitions in contiguous shares: this process runs
+    the first, forked workers the others."""
+
+    SPECS = {**TestSweep.SHARED_TAPE_SPECS, "mixture": TestSweep.MIXTURE_SPEC}
+    TARGETS = [(0.05, 0.05), (0.3, 0.3)]
+
+    def rows(self, monkeypatch, repetitions, procs, name="stepwise"):
+        """The rows of a sweep run in at most `procs` processes, as dicts so
+        that the per-repetition columns count, which must leave no child
+        process and no descriptor open."""
+        monkeypatch.setattr(experiments, "_process_count", lambda: procs)
+        fds = sorted(os.listdir("/dev/fd"))
+        rows = sweep(config(q_accept=0.3, q_reject=0.3), self.SPECS[name], self.TARGETS, repetitions, 7)
+        assert_no_children()
+        assert sorted(os.listdir("/dev/fd")) == fds
+        return [dataclasses.asdict(row) for row in rows]
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    @pytest.mark.parametrize("repetitions", [1, 2, 3, 5])
+    def test_rows_do_not_depend_on_the_process_count(self, monkeypatch, name, repetitions):
+        fork, rep_runs, forks, here = experiments._fork, experiments._rep_runs, [], []
+
+        def counted_fork(work):
+            forks.append(work)
+            return fork(work)
+
+        def noted_rep_runs(*args):
+            here.append(list(args[-1]))  # seen in this process only
+            return rep_runs(*args)
+
+        monkeypatch.setattr(experiments, "_fork", counted_fork)
+        monkeypatch.setattr(experiments, "_rep_runs", noted_rep_runs)
+        runs = {procs: self.rows(monkeypatch, repetitions, procs, name) for procs in (1, 2, 3)}
+        assert runs[2] == runs[1] and runs[3] == runs[1]
+        assert all(len(row["rep_accuracy"]) == repetitions for row in runs[1])
+        assert len(forks) == min(2, repetitions) - 1 + min(3, repetitions) - 1
+        # this process runs the first share, and the larger shares come first
+        first = {1: [0], 2: [0], 3: [0], 5: [0, 1]}[repetitions]
+        assert here == [list(range(repetitions)), list(range(-(-repetitions // 2))), first]
+
+    @pytest.mark.parametrize("fails", [0, 1], ids=["first", "second"])
+    def test_a_failed_fork_runs_that_share_and_the_rest_here(self, monkeypatch, fails):
+        one = self.rows(monkeypatch, 5, 1)
+        fork, tries = os.fork, itertools.count()
+
+        def fork_until(*args):
+            if next(tries) == fails:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_until)
+        assert self.rows(monkeypatch, 5, 3) == one
+        assert next(tries) == fails + 1
+
+    def test_a_killed_worker_is_named(self, monkeypatch):
+        parent, rep_runs = os.getpid(), experiments._rep_runs
+
+        def runs_or_die(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return rep_runs(*args)
+
+        monkeypatch.setattr(experiments, "_rep_runs", runs_or_die)
+        fds = sorted(os.listdir("/dev/fd"))
+        message = f"the process running part of the sweep ended by signal {int(signal.SIGKILL)}"
+        with pytest.raises(ChildProcessError, match=re.escape(message)):
+            self.rows(monkeypatch, 5, 3)
+        assert_no_children()
+        assert sorted(os.listdir("/dev/fd")) == fds
+
+    def test_a_sweep_beside_another_thread_forks_nothing(self, monkeypatch):
+        one = self.rows(monkeypatch, 3, 1)
+
+        def no_fork():
+            raise AssertionError("a worker was forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert self.rows(monkeypatch, 3, 2) == one
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
