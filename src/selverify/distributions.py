@@ -7,6 +7,7 @@ and population configs round-trip through JSON.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -51,6 +52,11 @@ class ScoreDist:
         convention), one score as a Python float. One draw takes the same
         value and leaves the generator in the same state as `size=1` does."""
         raise NotImplementedError
+
+    def _sampler(self, rng: np.random.Generator):
+        """A zero-argument callable that draws exactly what `sample(rng)`
+        draws, for callers that draw one score at a time."""
+        return functools.partial(self.sample, rng)
 
     def expect(self, fn, breakpoints=()) -> float:
         """E[fn(W)]. `breakpoints` flags known kinks of fn for the quadrature."""
@@ -200,6 +206,11 @@ class BetaDist(_ContinuousDist):
 
     def sample(self, rng, size=None):
         return rng.beta(self.a, self.b, size)
+
+    def _sampler(self, rng):
+        # numpy parses 0-d float64 shapes faster than Python floats; the
+        # draw and the returned Python float are the same
+        return functools.partial(rng.beta, np.array(self.a, np.float64), np.array(self.b, np.float64))
 
     def to_dict(self):
         return {"kind": "beta", "a": self.a, "b": self.b}

@@ -34,6 +34,7 @@ given the same decision sequence, for reactive ones).
 
 from __future__ import annotations
 
+import math
 import sys
 from array import array
 from dataclasses import dataclass
@@ -289,26 +290,36 @@ class DriftStream(_BufferedStream):
 class _Tape:
     """A task stream's candidates in draw order, each drawn on its first
     read: the label, then the score. Scores sit in an array('d') and labels
-    in a bytearray, so a tape costs 9 bytes a candidate."""
+    in a bytearray, so a tape costs 9 bytes a candidate.
 
-    __slots__ = ("rng", "correct_scores", "incorrect_scores", "w", "g")
+    The generator is `default_rng(seed)`'s, a PCG64, whose double is a
+    word's top 53 bits times 2**-53. So a label reads one raw word and
+    tests it against `ceil(p * 2**53) << 11`, which is `rng.random() < p`
+    bit for bit, and a score is one call of its law's `_sampler`: every
+    value and the generator's state after each candidate are those of
+    `label = rng.random() < p; w = law.sample(rng)`."""
+
+    __slots__ = ("rng", "w", "g", "_raw", "_samplers", "_p", "_limit")
 
     def __init__(self, seed: int, correct_scores: ScoreDist, incorrect_scores: ScoreDist):
-        self.rng = np.random.default_rng(seed)
-        self.correct_scores = correct_scores
-        self.incorrect_scores = incorrect_scores
+        self.rng = np.random.Generator(np.random.PCG64(seed))
+        self._raw = self.rng.bit_generator.random_raw
+        self._samplers = (incorrect_scores._sampler(self.rng), correct_scores._sampler(self.rng))
+        self._p = self._limit = None
         self.w = array("d")
         self.g = bytearray()
 
     def draw_to(self, n: int, p: float) -> None:
         """Extend the tape to n candidates, each new one correct with
-        probability p; a tape that long already is left as it is."""
-        rng, w, g = self.rng, self.w, self.g
-        samplers = (self.incorrect_scores.sample, self.correct_scores.sample)
+        probability p in [0, 1]; a tape that long already is left as it
+        is."""
+        if p != self._p:
+            self._p, self._limit = p, math.ceil(p * 2.0**53) << 11
+        raw, limit, samplers, w, g = self._raw, self._limit, self._samplers, self.w, self.g
         for _ in range(n - len(g)):
-            label = rng.random() < p
+            label = raw() < limit
             g.append(label)
-            w.append(samplers[label](rng))
+            w.append(samplers[label]())
 
 
 class _TaskStream(VerifierStream):
@@ -384,7 +395,12 @@ class _TaskStream(VerifierStream):
 
     def _unit_p(self) -> float:
         """The success probability of a unit that starts now."""
-        return self._difficulty.sample(self._tape.rng) if self._fixed_p is None else self._fixed_p
+        if self._fixed_p is not None:
+            return self._fixed_p
+        p = self._difficulty.sample(self._tape.rng)
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"difficulty drew {p!r}, outside [0, 1]")
+        return p
 
     def _blocks(self, limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The scores and labels of the next candidates on the tape of a
@@ -510,9 +526,10 @@ class _TaskStream(VerifierStream):
         if self._weak_calls or self._finished or self._pending is not None:
             raise ProtocolError("baseline runs need a fresh stream")
         tape, per_unit = self._tape, self._steps * self._attempts
-        for unit in range(1, self._units + 1):
-            tape.draw_to(unit * per_unit, self._unit_p())
         n = self._units * per_unit
+        # a point mass draws nothing at a unit's start: the units are one run
+        for end in range(per_unit, n + 1, per_unit) if self._fixed_p is None else (n,):
+            tape.draw_to(end, self._unit_p())
         w = np.frombuffer(tape.w, count=n).reshape(-1, self._attempts)
         g = np.frombuffer(tape.g, np.uint8, count=n).reshape(-1, self._attempts)
         best = g[np.arange(len(g)), w.argmax(axis=1)].reshape(self._units, self._steps)

@@ -5,7 +5,9 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import re
+from array import array
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from selverify import (
     PointMass,
     PolicyConfig,
     ProtocolError,
+    ScoreDist,
     StepwiseStream,
     UniformDist,
     apply_link,
@@ -38,7 +41,7 @@ from selverify import (
     sample_items,
     score_report,
 )
-from selverify.streams import CHUNK
+from selverify.streams import CHUNK, _Tape
 
 TRACE_COLUMNS = (
     "t", "w", "region", "action", "q", "explored", "g_observed", "g_latent",
@@ -483,6 +486,113 @@ def test_weak_only_keeps_the_first_of_tied_best_scores(kind):
     out = run_weak_only(make())
     assert out.problems_correct == correct
     assert out.weak_calls_per_problem == steps * attempts
+
+
+class HalfWords(ScoreDist):
+    """A law outside the package that draws through numpy's buffered 32-bit
+    half-words, which a label's raw 64-bit word must leave as they are."""
+
+    def sample(self, rng, size=None):
+        k = rng.integers(0, 1000, size, dtype=np.uint16)
+        return float(k) / 999 if size is None else k / 999
+
+
+def unit_floats():
+    """p at 0, 1 and 1/2, at k * 2**-53 and its float neighbours, and
+    anywhere in [0, 1]."""
+    grid = st.integers(0, 2**53).map(lambda k: k * 2.0**-53)
+    return st.one_of(
+        st.sampled_from([0.0, 1.0, 0.5]),
+        grid,
+        st.tuples(grid, st.sampled_from([0.0, 1.0])).map(
+            lambda pt: min(max(math.nextafter(*pt), 0.0), 1.0)
+        ),
+        st.floats(0.0, 1.0),
+    )
+
+
+SCORE_LAWS = st.sampled_from([
+    BetaDist(10 * 0.9, 10 * (1.0 - 0.9)),  # b just under 1, as in the presets
+    BetaDist(0.5, 0.7),  # both shapes below 1: numpy's other beta algorithm
+    BetaDist(3.3, 6.7),
+    UniformDist(),
+    PointMass(0.25),
+    MixtureDist(0.4, BetaDist(2.0, 5.0), UniformDist()),
+    GridDist([0.2, 0.3, 0.5]),
+    HalfWords(),
+])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    correct=SCORE_LAWS,
+    incorrect=SCORE_LAWS,
+    calls=st.lists(st.tuples(st.integers(-2, 25), unit_floats()), max_size=8),
+)
+def test_tape_draws_as_one_random_label_and_one_score_sample(seed, correct, incorrect, calls):
+    # calls of uneven length, one-candidate ones (the engine's `next`) and
+    # ones that draw nothing, each at its own p; after every call the tape
+    # and the generator's state are the reference loop's
+    tape = _Tape(seed, correct, incorrect)
+    assert type(tape.rng.bit_generator) is np.random.PCG64
+    rng = np.random.default_rng(seed)
+    w, g = array("d"), bytearray()
+    for step, p in calls:
+        n = len(g) + step
+        tape.draw_to(n, p)
+        for _ in range(n - len(g)):
+            label = rng.random() < p
+            g.append(label)
+            w.append((correct if label else incorrect).sample(rng))
+        assert tape.g == g and tape.w.tobytes() == w.tobytes()
+        assert tape.rng.bit_generator.state == rng.bit_generator.state
+
+
+def test_tape_labels_at_the_word_boundary():
+    # for each of the first words, p at the word's own double and at that
+    # double's neighbours: the label is exactly `random() < p` there
+    words = np.random.PCG64(5).random_raw(64).tolist()
+    for i, word in enumerate(words):
+        u = (word >> 11) * 2.0**-53
+        for p in (u, math.nextafter(u, 0.0), math.nextafter(u, 1.0)):
+            tape = _Tape(5, PointMass(1.0), PointMass(0.0))
+            tape.draw_to(i, 0.5)
+            tape.draw_to(i + 1, p)
+            assert tape.g[i] == (u < p) == tape.w[i]
+
+
+class NoisyDifficulty(ScoreDist):
+    def __init__(self, value):
+        self.value = value
+
+    def sample(self, rng, size=None):
+        rng.random()
+        return self.value
+
+    def to_dict(self):
+        return {"kind": "noisy", "value": self.value}
+
+
+@pytest.mark.parametrize("value", [float("nan"), 1.5, -0.25, float("inf")])
+def test_a_difficulty_draw_outside_the_unit_interval_is_refused(value):
+    # `random() < nan` is False, which would make every candidate silently
+    # incorrect; the stream names the draw instead, on every path that
+    # starts a unit
+    def stream():
+        return BestOfNStream(3, 2, NoisyDifficulty(value), BetaDist(2.0, 1.0), UniformDist(), seed=1)
+
+    message = re.escape(f"difficulty drew {value!r}, outside [0, 1]")
+    with pytest.raises(ValueError, match=message):
+        stream().next()
+    with pytest.raises(ValueError, match=message):
+        run_weak_only(stream())
+    with pytest.raises(ValueError, match=message):
+        run_one(PolicyConfig(alpha=0.1, beta=0.1), stream())
+    for ok in (0.0, 1.0):
+        assert run_weak_only(
+            BestOfNStream(3, 2, NoisyDifficulty(ok), BetaDist(2.0, 1.0), UniformDist(), seed=1)
+        ).problems_correct == 3 * (ok == 1.0)
 
 
 class TestMakeStream:
