@@ -17,19 +17,20 @@ Exit codes: 0 success / all checks pass, 1 check failure, 2 I/O or parse
 error, 3 validation error.
 
 simulate and check run one pipeline (`_trace_writer`) with two sinks:
-simulate writes the trace file, check compares the bytes with the file
-it is given (`_Compare`), so a file passes only if it is byte for byte
-the run its header describes. The pipeline formats ranges of rounds in
-parallel forked processes, up to one per CPU this process may run on
-(`_process_count`), through one helper, `_in_order`: a worker keeps its
-rows in its own memory and hands the bytes back through a pipe, and the
-command process alone copies them into the sink, in order. Where a fork
-fails, the command process runs that range and every later one itself.
-Output, verdicts and exit codes do not depend on the number of processes.
-sweep runs its repetitions in forked workers through the same helpers
-(`experiments._sweep_rows`): this process runs the first share of them
-and reads the other shares' results back, so its CSV does not depend on
-the number of processes either.
+simulate writes the trace file, check compares the bytes with the file it
+is given (`_Compare`), so a file passes only if it is byte for byte the
+run its header describes. The pipeline takes the run's column chunks from
+`experiments._run_chunks`, which `run_one` reads too, and formats ranges
+of rounds of a non-reactive stream in parallel forked processes, up to one
+per CPU this process may run on (`_process_count`), through one helper,
+`_in_order`: a worker keeps its rows in its own memory and hands the bytes
+back through a pipe, and the command process alone copies them into the
+sink, in order. Where a fork fails, the command process runs that range
+and every later one itself. Output, verdicts and exit codes do not depend
+on the number of processes. sweep runs its repetitions in forked workers
+through the same helpers (`experiments._sweep_rows`): this process runs
+the first share of them and reads the other shares' results back, so its
+CSV does not depend on the number of processes either.
 """
 
 from __future__ import annotations
@@ -56,18 +57,17 @@ from .experiments import (
     RunSpec,
     _Certificate,
     _REQUIRED,
+    _check_horizon,
     _fork,
-    _kernel_chunks,
-    _kernel_path,
     _process_count,
     _reap,
     _record_chunks,
     _rep_setup,
-    _takes,
+    _run_chunks,
     _wait,
     _write_rows,
     check_claims,
-    run_rep,
+    run_rep,  # not called here: the benchmark's tracer wraps cli.run_rep
     sweep,
     verify_bound,
 )
@@ -274,8 +274,8 @@ def _trace_writer(cfg: dict, claims: bool = False, most: Optional[int] = None):
     bounds and metrics of the summary line.
 
     The run stops after `most` rounds if that is given, though the header
-    still names the config's horizon. The kernel runs a chunk of rounds at
-    a time, as `write` takes them; a task stream runs in memory at once."""
+    still names the config's horizon. `write` takes the run's column chunks
+    from `experiments._run_chunks` as it writes them."""
     rep = cfg.get("rep", 0)
     _check_count("rep", rep, 0)
     delta = _check_number("delta", cfg.get("delta", 0.05), " in (0, 1)")
@@ -287,17 +287,14 @@ def _trace_writer(cfg: dict, claims: bool = False, most: Optional[int] = None):
         seed_base=cfg.get("seed_base", 0),
     )
     config, stream, echo = _rep_setup(spec, rep)
+    _check_horizon(stream, spec.horizon)  # the config's, not the cap `most`
     horizon = min((n for n in (spec.horizon, most) if n is not None), default=None)
-    procs = 1
-    if _kernel_path(stream, spec.horizon):
-        chunks = _kernel_chunks(config, _takes(stream, horizon))
-        # a run of one range is formatted here: a worker would only add a fork
-        known = [n for n in (horizon, getattr(stream, "total_length", None)) if n is not None]
-        if not known or min(known) > _RANGE_CHUNKS * _kernel._CHUNK:
-            procs = _process_count()
-    else:
-        # task runs are short: they run in memory and are written as one chunk
-        chunks = [vars(run_rep(dataclasses.replace(spec, horizon=horizon), rep))]
+    chunks = _run_chunks(config, stream, horizon, _kernel._CHUNK)
+    # a run of one range, or a task run, which is short, is formatted here:
+    # a worker would only add a fork
+    ends = [n for n in (horizon, getattr(stream, "total_length", None)) if n is not None]
+    short = stream.reactive or min(ends, default=sys.maxsize) <= _RANGE_CHUNKS * _kernel._CHUNK
+    procs = 1 if short else _process_count()
     echo["delta"] = delta
     cert = _Certificate(echo, ledger_only=not claims)
 

@@ -1,19 +1,19 @@
 """Run orchestration: traces, error bounds, claim checks, target sweeps.
 
-A run drives one policy against one stream and records every round. For
-non-reactive streams that draw arrays the loop runs on pre-drawn arrays
-through the compiled kernel, which reproduces the engine bit for bit. So
-does a task stream whose difficulty is a point mass: its candidates do not
-depend on the decisions, so the kernel runs over its tape and the stream
-folds the final decisions in afterwards. Other reactive streams go
-through the engine so final decisions can feed back, and so does any
-stream without `take`. Either path records
-only the sequential state of each round (score, latent label, exploration
-flag, thresholds after the round), and `_kernel.derive_columns` derives
-the other trace columns from it for both. One driver, `_kernel_chunks`,
-runs the kernel over blocks of scores and labels: a run in memory is one
-block, `simulate` (and `check`, which regenerates a trace file's run to
-compare it with the file) a block per 4,096 rounds. One writer,
+A run drives one policy against one stream and records every round. One
+function, `_run_chunks`, chooses a run's path and gives its columns in
+chunks. For non-reactive streams that draw arrays the loop runs on
+pre-drawn arrays through the compiled kernel, which reproduces the engine
+bit for bit. So does a task stream whose difficulty is a point mass: its
+candidates do not depend on the decisions, so the kernel runs over its
+tape and the stream folds each chunk's final decisions in. Other streams
+go through the engine so final decisions can feed back. Either path
+records only the sequential state of each round (score, latent label,
+exploration flag, thresholds after the round), and
+`_kernel.derive_columns` derives the other trace columns from it for both.
+`run_one` reads a run in memory in one take and `_trace` joins its chunks;
+`simulate` (and `check`, which regenerates a trace file's run to compare it
+with the file) reads a chunk per 4,096 rounds. One writer,
 `_write_rows`, encodes each distinct value of a block once where values
 repeat (the thresholds, `q_t`, the enums), since turning numbers into
 text costs more than the kernel. One reader,
@@ -244,11 +244,8 @@ class Trace:
     @staticmethod
     def from_records(config: dict, records: Iterable[dict]) -> "Trace":
         """Rebuild a trace from round records: `_record_chunks` parses them
-        into column chunks, which are joined a column at a time, so that
-        only one column's chunks outlive their join."""
-        chunks = list(_record_chunks(records))
-        cols = {attr: np.concatenate([c.pop(attr) for c in chunks]) for attr in list(chunks[0])}
-        return _trace(config, cols)
+        into column chunks, which `_trace` joins."""
+        return _trace(config, _record_chunks(records))
 
 
 # The columns in the key order of the JSON lines and the text before each
@@ -490,11 +487,18 @@ def _columns(w, g_latent, cols, start: int = 1) -> dict:
     }
 
 
-def _trace(config: dict, cols: dict, outcome=None) -> Trace:
-    """The trace with the columns `cols` (`Trace` attribute -> array) and
-    the ledger folded from them."""
+def _trace(config: dict, chunks: Iterable[dict]) -> Trace:
+    """The trace of the column `chunks` (`Trace` attribute -> array), in
+    round order, and its ledger. The chunks are joined a column at a time,
+    so that only one column's chunks outlive their join; a lone chunk's
+    column is copied only where it is a view, which keeps a buffer alive."""
+    chunks = list(chunks)
+    cols = {}
+    for c in _COLUMNS:
+        parts = [chunk.pop(c.attr) for chunk in chunks] or [np.empty(0, c.dtype)]
+        cols[c.attr] = parts[0] if len(parts) == 1 and parts[0].flags.owndata else np.concatenate(parts)
     ledger = _Certificate(config, ledger_only=True).add(cols).ledger
-    return Trace(config=config, ledger=ledger, outcome=outcome, **cols)
+    return Trace(config=config, ledger=ledger, **cols)
 
 
 def _kernel_chunks(config: PolicyConfig, blocks: Iterable[tuple]) -> Iterator[dict]:
@@ -528,40 +532,32 @@ def _kernel_chunks(config: PolicyConfig, blocks: Iterable[tuple]) -> Iterator[di
         start += w.size
 
 
-def _takes(stream, horizon: Optional[int]) -> Iterator[tuple]:
-    """The stream's `(scores, labels)` in `_kernel._CHUNK`-round `take`s,
-    up to the horizon, or to the end of the stream if that comes first or
-    there is no horizon."""
+def _takes(stream, horizon: Optional[int], block: int) -> Iterator[tuple]:
+    """The stream's `(scores, labels)` in `take`s of at most `block`
+    rounds, up to the horizon, or to the end of the stream if that comes
+    first or there is no horizon."""
     done = 0
     while horizon is None or done < horizon:
-        w, g = stream.take(_kernel._CHUNK if horizon is None else min(_kernel._CHUNK, horizon - done))
+        w, g = stream.take(block if horizon is None else min(block, horizon - done))
         if not len(w):
             return
         yield w, g
         done += len(w)
 
 
-def _run_kernel(config: PolicyConfig, stream, horizon: Optional[int], echo: dict) -> Trace:
-    # one take: without a horizon a finite stream is read to its end
-    (cols,) = _kernel_chunks(config, [stream.take(sys.maxsize if horizon is None else horizon)])
-    return _trace(echo, cols)
-
-
-def _run_engine(config: PolicyConfig, stream, horizon: Optional[int], echo: dict) -> Trace:
-    """Drive the policy's round core item by item, so that final decisions
-    can feed back into the stream. Only the sequential state is recorded per
-    round: the score, the latent label, the exploration flag and the
-    thresholds after the round. A horizon takes a prefix of the run; the
-    task outcome is set only when the stream ran out first."""
+def _run_engine(config: PolicyConfig, stream, horizon: Optional[int]) -> dict:
+    """The columns of the policy's run over `stream`, driven item by item
+    so that final decisions can feed back into the stream. Only the
+    sequential state is recorded per round: the score, the latent label,
+    the exploration flag and the thresholds after the round. A horizon
+    takes a prefix of the run."""
     policy = VerificationPolicy(config)
     route, update = policy._route, policy._update
     reactive = stream.reactive
     w, g_latent, explored, tau_r_after, tau_a_after = [], [], [], [], []
-    outcome = None
     while horizon is None or len(w) < horizon:
         item = stream.next()
         if item is None:
-            outcome = stream.outcome() if reactive else None
             break
         wt = float(item.w)
         region, q, expl = route(wt)
@@ -600,41 +596,43 @@ def _run_engine(config: PolicyConfig, stream, horizon: Optional[int], echo: dict
         config.tau_reject_init,
         config.tau_accept_init,
     )
-    return _trace(echo, _columns(w, g_latent, cols), outcome)
+    return _columns(w, g_latent, cols)
 
 
-def _run_tape(config: PolicyConfig, stream: _TaskStream, horizon: Optional[int], echo: dict) -> Trace:
-    """Run the policy on the array kernel over the tape of a task stream
-    whose candidates do not depend on the decisions (`_on_tape`). The
-    stream folds each chunk's final decisions, accept where the action is
-    accept or a strong query found the candidate correct, and the run stops
-    at the round where the last unit ends. A horizon takes a prefix; the
-    task outcome is set only when the stream ran out first."""
-    chunks = []
-    blocks = stream._blocks(sys.maxsize if horizon is None else horizon)
-    for cols in _kernel_chunks(config, blocks):
+def _run_tape(config: PolicyConfig, stream: _TaskStream, horizon: Optional[int]) -> Iterator[dict]:
+    """The column chunks of the policy's run on the array kernel over the
+    tape of a task stream `_on_tape`. The stream folds each chunk's final
+    decisions, accept where the action is accept or a strong query found
+    the candidate correct, and the run stops at the round where the last
+    unit ends, or at the horizon if that comes first."""
+    for cols in _kernel_chunks(config, stream._blocks(sys.maxsize if horizon is None else horizon)):
         g, action = cols["g_latent"], cols["action"]
         strong = action == ACTION_STRONG_VERIFY
         accepted = np.where(strong, g == 1, action == ACTION_ACCEPT)
         n = stream._fold(g.tolist(), accepted.tolist(), strong)
-        chunks.append({attr: a[:n] for attr, a in cols.items()})
-    if not chunks:  # no round to run
-        chunks = list(_kernel_chunks(config, [(np.empty(0), np.empty(0))]))
-    cols = {attr: np.concatenate([c[attr] for c in chunks]) for attr in chunks[0]}
-    # the blocks stop short of the horizon only once the last unit has ended
-    ran_out = horizon is None or len(cols["t"]) < horizon
-    return _trace(echo, cols, stream.outcome() if ran_out else None)
+        yield {attr: a[:n] for attr, a in cols.items()}
 
 
-def _kernel_path(stream: VerifierStream, horizon: Optional[int], force_engine: bool = False) -> bool:
-    """Whether a run of `stream` takes the array kernel over its `take`s:
-    only a non-reactive stream that draws arrays does, unless force_engine
-    is set. Raises ValueError if the stream never exhausts (a built-in
-    non-reactive stream's `total_length` is None) and there is no
-    horizon."""
+def _check_horizon(stream: VerifierStream, horizon: Optional[int]) -> None:
+    """Raise ValueError where there is no horizon and the stream never
+    exhausts (a built-in non-reactive stream's `total_length` is None)."""
     if horizon is None and getattr(stream, "total_length", 0) is None:
         raise ValueError("this stream never exhausts; a horizon is required")
-    return not (stream.reactive or force_engine) and hasattr(stream, "take")
+
+
+def _run_chunks(config, stream, horizon: Optional[int], block: int, force_engine=False) -> Iterator[dict]:
+    """The column chunks of the policy's run over `stream`, up to the
+    horizon, whose rule is checked at once: the one place where a run's
+    path is chosen. A non-reactive stream that draws arrays runs on the
+    kernel, a chunk per `take` of at most `block` rounds; a task stream
+    `_on_tape` on the kernel over its tape; any other stream, and any when
+    force_engine is set, through the engine, as one chunk."""
+    _check_horizon(stream, horizon)
+    if not (stream.reactive or force_engine) and hasattr(stream, "take"):
+        return _kernel_chunks(config, _takes(stream, horizon, block))
+    if not force_engine and isinstance(stream, _TaskStream) and stream._on_tape():
+        return _run_tape(config, stream, horizon)
+    return iter([_run_engine(config, stream, horizon)])
 
 
 def run_one(
@@ -646,24 +644,25 @@ def run_one(
 ) -> Trace:
     """Drive one policy to completion against one stream.
 
-    A non-reactive stream that draws arrays (`take`, as the built-in ones
-    do) runs through the array kernel, and so does a task stream whose
+    The columns come from `_run_chunks`, as for `simulate`, in one take. A
+    non-reactive stream that draws arrays (`take`, as the built-in ones do)
+    runs through the array kernel, and so does a task stream whose
     difficulty is a point mass (every preset and every stepwise stream),
     over its tape. Any other stream, and any stream when force_engine is
     set, runs item by item through the engine; the paths produce identical
     traces, and leave a task stream's counters alike. So a custom stream
     needs only `next`, `answer_strong_query` and `spec_dict`, plus `react`
-    and `outcome` if it is reactive.
+    and `outcome` if it is reactive. A horizon takes a prefix of the run;
+    the outcome is set only where the stream ran out first.
     """
     if horizon is not None:
         _check_count("horizon", horizon, 0)
     if echo is None:
         echo = {"policy": config.to_dict(), "stream": stream.spec_dict(), "horizon": horizon}
-    if _kernel_path(stream, horizon, force_engine):
-        return _run_kernel(config, stream, horizon, echo)
-    if not force_engine and isinstance(stream, _TaskStream) and stream._on_tape():
-        return _run_tape(config, stream, horizon, echo)
-    return _run_engine(config, stream, horizon, echo)
+    trace = _trace(echo, _run_chunks(config, stream, horizon, sys.maxsize, force_engine))
+    if stream.reactive and (horizon is None or len(trace) < horizon):
+        trace.outcome = stream.outcome()
+    return trace
 
 
 def run(spec: RunSpec) -> list[Trace]:

@@ -393,13 +393,16 @@ class _TaskStream(VerifierStream):
         candidate is pending."""
         return self._fixed_p is not None and self._pending is None
 
-    def _unit_p(self) -> float:
-        """The success probability of a unit that starts now."""
-        if self._fixed_p is not None:
+    def _unit_p(self, n: Optional[int] = None):
+        """The success probability of a unit that starts now, or an array of
+        those of n units. Raises ValueError on a draw outside [0, 1]."""
+        if self._fixed_p is not None and n is None:
             return self._fixed_p
-        p = self._difficulty.sample(self._tape.rng)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"difficulty drew {p!r}, outside [0, 1]")
+        p = self._difficulty.sample(self._tape.rng, n)
+        if not (isinstance(p, float) and 0.0 <= p <= 1.0):  # a unit's draw, mostly
+            bad = ~((np.asarray(p) >= 0.0) & (np.asarray(p) <= 1.0))  # NaN too
+            if bad.any():
+                raise ValueError(f"difficulty drew {np.asarray(p)[bad].tolist()[0]!r}, outside [0, 1]")
         return p
 
     def _blocks(self, limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -472,7 +475,7 @@ class _TaskStream(VerifierStream):
         """n i.i.d. candidates: success probabilities, labels, then the
         correct scores, then the incorrect ones."""
         rng = self._tape.rng
-        p = self._difficulty.sample(rng, n)
+        p = self._unit_p(n)
         g = (rng.random(n) < p).astype(np.int64)
         w = np.empty(n)
         n1 = int(g.sum())

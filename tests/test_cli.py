@@ -22,6 +22,7 @@ import selverify
 from selverify import cli, experiments
 from selverify import (
     BetaDist,
+    MixtureDist,
     ParetoPoint,
     PointMass,
     PolicyConfig,
@@ -223,6 +224,22 @@ GOLDEN_TRACES = {
         {"policy": {**POLICY, "q_accept": 0.3, "q_reject": 0.2},
          "stream": STEPWISE_SPEC, "horizon": None, "seed_base": 7},
         "6920f39313e1ff46819dfe81a7c56861a3de01c9f583a1913c91bdf638e5ffc0",
+    ),
+    # a difficulty that draws per problem: the run goes item by item
+    "mixture_difficulty_engine": (
+        {"policy": {**POLICY, "q_accept": 0.3, "q_reject": 0.3},
+         "stream": {**preset_math_like("easy", problems=100, seed=0),
+                    "difficulty": MixtureDist(0.7, PointMass(0.9), BetaDist(2.0, 3.0)).to_dict()},
+         "horizon": None, "seed_base": 6},
+        "7adb6c12b12ab01ed1b7a2c434a442f87054157c8cffcb04a419eefc626261b1",
+    ),
+    # tape blocks of 200, 112 and 38 rounds: the horizon stops the run in
+    # its third block, short of the 416 rounds it would take
+    "tape_horizon": (
+        {"policy": {**POLICY, "q_accept": 0.3, "q_reject": 0.3},
+         "stream": preset_math_like("hard", problems=200, budget=8, seed=0), "horizon": 350,
+         "seed_base": 9},
+        "1de70dd218db09a0b16fa9b4fb8616c053f9d9fa97fe756de9cad5fa0582b3f3",
     ),
 }
 
@@ -1037,16 +1054,20 @@ class TestCheck:
         assert err.startswith("error: malformed trace: ") and key in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("edit", [
-        lambda cfg: cfg.pop("policy"),
-        lambda cfg: cfg["policy"].update(eta="x"),
-        lambda cfg: cfg["policy"].update(eta=0),
-        lambda cfg: cfg["policy"].pop("q_accept"),
-        lambda cfg: cfg.update(delta="x"),
-        lambda cfg: cfg["policy"].update(seed=True),
+    @pytest.mark.parametrize("edit, why", [
+        (lambda cfg: cfg.pop("policy"),
+         "policy lacks alpha, beta, eta, q_accept, q_reject, tau_reject_init, tau_accept_init, seed"),
+        (lambda cfg: cfg["policy"].update(eta="x"), "eta must be a number > 0, got 'x'"),
+        (lambda cfg: cfg["policy"].update(eta=0), "eta must be a number > 0, got 0"),
+        (lambda cfg: cfg["policy"].pop("q_accept"), "policy lacks q_accept"),
+        (lambda cfg: cfg.update(delta="x"), "delta must be a number in (0, 1), got 'x'"),
+        (lambda cfg: cfg["policy"].update(seed=True), "seed must be an integer >= 0, got True"),
+        # the endless-stream rule reads the header's horizon, not the cap
+        # that the file's size puts on the run
+        (lambda cfg: cfg.update(horizon=None), "this stream never exhausts; a horizon is required"),
     ], ids=["no_policy", "eta_not_a_number", "eta_zero", "policy_lacks_a_key",
-            "delta_not_a_number", "seed_a_bool"])
-    def test_bad_header_config_is_an_io_error(self, tmp_path, capsys, edit):
+            "delta_not_a_number", "seed_a_bool", "endless_stream_without_a_horizon"])
+    def test_bad_header_config_is_an_io_error(self, tmp_path, capsys, edit, why):
         trace = self.make_trace(tmp_path)
         lines = trace.read_text().splitlines()
         header = json.loads(lines[0])
@@ -1055,8 +1076,7 @@ class TestCheck:
         trace.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert main(["check", str(trace)]) == EXIT_IO
-        err = capsys.readouterr().err
-        assert err.startswith("error: malformed trace: header ") and "Traceback" not in err
+        assert capsys.readouterr().err == f"error: malformed trace: header {why}\n"
 
     @pytest.mark.parametrize("line, why", [
         ('{"t":' + "1" * 5_000 + "}", "Exceeds the limit (4300 digits) for integer string conversion"),

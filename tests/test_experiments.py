@@ -206,17 +206,33 @@ class TestBookkeeping:
         assert trace.outcome.problems_total == 40
         assert uniform_run(horizon=10).outcome is None
 
-    @pytest.mark.parametrize("horizon", [50, None])
-    def test_a_horizon_takes_a_prefix_of_a_task_run(self, horizon):
+    # (horizon, force_engine, difficulty): a point mass runs on the tape
+    # unless the engine is forced, a mixture on the engine
+    PREFIX_CASES = [
+        (h, engine, None) for engine in (False, True) for h in (50, None, 0, "length", "length + 1")
+    ] + [
+        (h, False, MixtureDist(0.7, PointMass(0.9), BetaDist(2.0, 3.0)))
+        for h in (0, 50, "length", "length + 1", None)
+    ]
+
+    @pytest.mark.parametrize("horizon, force_engine, difficulty", PREFIX_CASES, ids=[
+        f"{h}{'-engine' if engine else ''}{'-mixture' if d else ''}" for h, engine, d in PREFIX_CASES
+    ])
+    def test_a_horizon_takes_a_prefix_of_a_task_run(self, horizon, force_engine, difficulty):
         spec = preset_math_like("easy", problems=200, budget=4, seed=3)
-        full = run_one(config(), make_stream(spec))
-        trace = run_one(config(), make_stream(spec), horizon=horizon)
-        n = len(full) if horizon is None else horizon
+        if difficulty is not None:
+            spec = {**spec, "difficulty": difficulty.to_dict()}
+        full = run_one(config(), make_stream(spec), force_engine=force_engine)
+        assert isinstance(full.outcome, TaskOutcome)
+        horizon = {"length": len(full), "length + 1": len(full) + 1}.get(horizon, horizon)
+        trace = run_one(config(), make_stream(spec), horizon=horizon, force_engine=force_engine)
+        n = len(full) if horizon is None else min(horizon, len(full))
         assert len(trace) == n
         for col in TRACE_COLUMNS:
             assert_bitwise_equal(getattr(trace, col), getattr(full, col)[:n], col)
-        # the outcome belongs to a finished stream only
-        assert (trace.outcome is None) == (horizon is not None)
+        # the outcome belongs to a stream that ran out before the horizon
+        ran_out = horizon is None or horizon > len(full)
+        assert trace.outcome == (full.outcome if ran_out else None)
 
 
 class TestEngineKernelAgreement:

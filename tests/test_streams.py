@@ -589,6 +589,8 @@ def test_a_difficulty_draw_outside_the_unit_interval_is_refused(value):
         run_weak_only(stream())
     with pytest.raises(ValueError, match=message):
         run_one(PolicyConfig(alpha=0.1, beta=0.1), stream())
+    with pytest.raises(ValueError, match=message):
+        stream()._sample_candidates(10)
     for ok in (0.0, 1.0):
         assert run_weak_only(
             BestOfNStream(3, 2, NoisyDifficulty(ok), BetaDist(2.0, 1.0), UniformDist(), seed=1)
