@@ -7,12 +7,14 @@ the column derivation both paths share.
 arrays. Its sequential loop carries only what is sequential: the threshold
 pair after each round and the exploration flag, which consumes the uniform
 pool cursor-wise, one draw per decisive round as the engine does. The
-threshold update is `step`, the one the engine calls, so results agree
-bitwise. The per-item engine records the same sequential state round by
-round, and `derive_columns` turns it into every other trace column with
-numpy for both. Integer codes: region/action 0=accept, 1=reject,
-2=uncertain or strong-verify; g_observed is -1 on rounds without a strong
-query.
+threshold update has one formula, `increments`: a run's six increments,
+one per region and strong label, computed once per run. `step`, the one
+the engine calls, and `_loop` apply its table with the same projection,
+so results agree bitwise. The per-item engine records the same
+sequential state round by round, and `derive_columns` turns it into
+every other trace column with numpy for both. Integer codes:
+region/action 0=accept, 1=reject, 2=uncertain or strong-verify;
+g_observed is -1 on rounds without a strong query.
 """
 
 from __future__ import annotations
@@ -54,47 +56,80 @@ def kernel_backend() -> str:
     return "numba" if _HAVE_NUMBA else "python"
 
 
+def increments(alpha, beta, eta, q_accept, q_reject):
+    """The threshold increments of an escalated round, as
+    `table[region][g] = (d_reject, d_accept)` for the region codes and the
+    strong label g. A round in a region with escalation probability q moves
+    the accept threshold by eta * 1[g=0] * (1[w > accept] - alpha) / q and
+    the reject threshold by eta * 1[g=1] * (beta - 1[w < reject]) / q; the
+    region fixes both indicators, since reject <= accept."""
+    return tuple(
+        tuple(
+            (eta * (gate1 * (beta - ind_r)) / q, eta * ((1.0 - gate1) * (ind_a - alpha)) / q)
+            for gate1 in (0.0, 1.0)
+        )
+        for ind_a, ind_r, q in ((1.0, 0.0, q_accept), (0.0, 1.0, q_reject), (0.0, 0.0, 1.0))
+    )
+
+
 @njit(cache=True)
-def step(tr, ta, w, g, q, alpha, beta, eta):
-    """Thresholds after an escalated round with score w, strong label g and
-    escalation probability q. The accept threshold moves first; the reject
-    update then projects against the new accept value, preserving
-    reject <= accept."""
-    ind_a = 1.0 if w > ta else 0.0
-    gate0 = 1.0 if g == 0 else 0.0
-    new_a = ta + eta * (gate0 * (ind_a - alpha)) / q
+def step(tr, ta, w, g, table):
+    """Thresholds after an escalated round with score w and strong label g,
+    by the `increments` table of the run. The accept threshold moves first;
+    the reject update then projects against the new accept value,
+    preserving reject <= accept."""
+    if w > ta:
+        d_r, d_a = table[REGION_ACCEPT][g]
+    elif w < tr:
+        d_r, d_a = table[REGION_REJECT][g]
+    else:
+        d_r, d_a = table[REGION_UNCERTAIN][g]
+    new_a = ta + d_a
     if new_a < tr:
         new_a = tr
-    ind_r = 1.0 if w < tr else 0.0
-    gate1 = 1.0 if g == 1 else 0.0
-    new_r = tr + eta * (gate1 * (beta - ind_r)) / q
+    new_r = tr + d_r
     if new_r > new_a:
         new_r = new_a
     return new_r, new_a
 
 
 @njit(cache=True)
-def _loop(w, g, u, tr, ta, alpha, beta, eta, q_accept, q_reject, tau_r, tau_a, explored):
+def _loop(w, g, u, tr, ta, table, q_accept, q_reject, tau_r, tau_a, explored):
     """One chunk of rounds from thresholds (tr, ta), reading uniforms from
     u[0]. Fills tau_r/tau_a with the thresholds after each round and sets
     explored where a decisive round escalated; returns the final
-    thresholds and the number of uniforms used."""
+    thresholds and the number of uniforms used. It applies the `increments`
+    table as `step` does, written out here because a call of `step` costs
+    as much as the rest of the round in plain Python. It assumes labels in
+    {0, 1}, tr <= ta and no NaN score, which its callers check."""
+    accept, reject, uncertain = table
     cursor = 0
     for t in range(len(w)):
         wt = w[t]
         if wt > ta:
-            q = q_accept
-        elif wt < tr:
-            q = q_reject
-        else:
-            tr, ta = step(tr, ta, wt, g[t], 1.0, alpha, beta, eta)
-            tau_r[t] = tr
-            tau_a[t] = ta
-            continue
-        cursor += 1
-        if u[cursor - 1] < q:
+            cursor += 1
+            if u[cursor - 1] >= q_accept:
+                tau_r[t] = tr
+                tau_a[t] = ta
+                continue
             explored[t] = True
-            tr, ta = step(tr, ta, wt, g[t], q, alpha, beta, eta)
+            d_r, d_a = accept[g[t]]
+        elif wt < tr:
+            cursor += 1
+            if u[cursor - 1] >= q_reject:
+                tau_r[t] = tr
+                tau_a[t] = ta
+                continue
+            explored[t] = True
+            d_r, d_a = reject[g[t]]
+        else:
+            d_r, d_a = uncertain[g[t]]
+        ta += d_a
+        if ta < tr:
+            ta = tr
+        tr += d_r
+        if tr > ta:
+            tr = ta
         tau_r[t] = tr
         tau_a[t] = ta
     return tr, ta, cursor
@@ -119,6 +154,7 @@ def run_rounds(
     tau_r_after = np.empty(T, np.float64)
     tau_a_after = np.empty(T, np.float64)
     explored = np.zeros(T, np.bool_)
+    table = increments(alpha, beta, eta, q_accept, q_reject)
     tr = tau_reject_init
     ta = tau_accept_init
     cursor = 0
@@ -131,7 +167,7 @@ def run_rounds(
         else:
             ins = tuple(a.tolist() for a in ins)
             outs = ([0.0] * n, [0.0] * n, bytearray(n))
-        tr, ta, used = _loop(*ins, tr, ta, alpha, beta, eta, q_accept, q_reject, *outs)
+        tr, ta, used = _loop(*ins, tr, ta, table, q_accept, q_reject, *outs)
         cursor += used
         if not _HAVE_NUMBA:
             tau_r_after[chunk], tau_a_after[chunk] = outs[:2]

@@ -560,7 +560,7 @@ def _run_engine(config: PolicyConfig, stream, horizon: Optional[int]) -> dict:
         if item is None:
             break
         wt = float(item.w)
-        region, q, expl = route(wt)
+        region, _, expl = route(wt)
         if expl or region is Region.UNCERTAIN:
             g = stream.answer_strong_query()
             if g != item.g_latent:
@@ -571,10 +571,10 @@ def _run_engine(config: PolicyConfig, stream, horizon: Optional[int]) -> dict:
                 )
             if g not in (0, 1):
                 raise ValueError(f"strong label must be 0 or 1, got {g!r}")
-            after = update(wt, int(g), q)
+            after = update(wt, int(g))
             final = Action.ACCEPT if g == 1 else Action.REJECT
         else:
-            after = update(wt, None, q)
+            after = update(wt, None)
             final = Action.ACCEPT if region is Region.ACCEPT else Action.REJECT
         if reactive:
             stream.react(final)

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernel import _CHUNK, step
+from ._kernel import _CHUNK, increments, step
 
 __all__ = [
     "Action",
@@ -228,7 +228,10 @@ class VerificationPolicy:
     round core, which the per-item engine also drives directly: `_route`
     checks the score, classifies it and, in a decisive region only, takes
     the next exploration uniform; `_update` applies `_kernel.step` on an
-    escalated round and advances the round index. The uniforms are drawn a
+    escalated round and advances the round index. `step` reads the
+    increments from the table of `_kernel.increments`, the one formula of
+    the update, which the policy builds once from its config and the
+    kernel's `_loop` applies as well. The uniforms are drawn a
     block of `_kernel._CHUNK` at a time and handed out one per decisive
     round: the same values in the same order as one scalar draw per
     decisive round, and as the kernel's pool `default_rng(seed).random(T)`.
@@ -242,6 +245,7 @@ class VerificationPolicy:
 
     def __init__(self, config: PolicyConfig):
         self._config = config
+        self._table = increments(config.alpha, config.beta, config.eta, config.q_accept, config.q_reject)
         self._thresholds = Thresholds(config.tau_reject_init, config.tau_accept_init)
         self._rng = np.random.default_rng(config.seed)
         self._uniforms = iter(())
@@ -276,16 +280,13 @@ class VerificationPolicy:
             u = next(self._uniforms)
         return region, q, u < q
 
-    def _update(self, w: float, g: Optional[int], q: float) -> Thresholds:
+    def _update(self, w: float, g: Optional[int]) -> Thresholds:
         """Close the round of score w and return the thresholds after it.
-        An escalated round (strong label g, escalation probability q) moves
-        them; a unilateral one (g None) leaves them."""
+        An escalated round (strong label g) moves them; a unilateral one
+        (g None) leaves them."""
         if g is not None:
             th = self._thresholds
-            cfg = self._config
-            self._thresholds = Thresholds(
-                *step(th.reject, th.accept, w, g, q, cfg.alpha, cfg.beta, cfg.eta)
-            )
+            self._thresholds = Thresholds(*step(th.reject, th.accept, w, g, self._table))
         self._t += 1
         return self._thresholds
 
@@ -321,7 +322,7 @@ class VerificationPolicy:
         if g not in (0, 1):
             raise ValueError(f"strong label must be 0 or 1, got {g!r}")
         g = int(g)
-        new = self._update(rec.w, g, rec.q)
+        new = self._update(rec.w, g)
         rec.g_observed = g
         rec.thresholds_after = new
         self._pending = None
@@ -334,5 +335,5 @@ class VerificationPolicy:
             raise ProtocolError("no pending round; call decide first")
         if rec.action is Action.STRONG_VERIFY:
             raise ProtocolError("pending round escalated; call feedback instead")
-        rec.thresholds_after = self._update(rec.w, None, rec.q)
+        rec.thresholds_after = self._update(rec.w, None)
         self._pending = None

@@ -264,6 +264,9 @@ class TestEngineKernelAgreement:
         ({"q_accept": 1.0, "q_reject": 1.0}, 2_000),
         # around and across the kernel's chunk of 4,096 rounds
         ({}, 0), ({}, 1), ({}, 4_095), ({}, 4_096), ({}, 4_097), ({}, 10_000),
+        # thresholds that start equal, and steps large enough to cross
+        ({"tau_reject_init": 0.5, "tau_accept_init": 0.5}, 2_000),
+        ({"eta": 0.5, "q_accept": 0.05, "q_reject": 0.05}, 2_000),
     ])
     def test_paths_agree_on_edge_cases(self, kw, horizon):
         spec = {"kind": "calibrated", "score_dist": UniformDist().to_dict(), "seed": 3}
@@ -271,6 +274,10 @@ class TestEngineKernelAgreement:
         fast = run_one(cfg, make_stream(spec), horizon=horizon)
         slow = run_one(cfg, make_stream(spec), horizon=horizon, force_engine=True)
         assert len(fast) == horizon
+        if horizon >= 2_000:
+            # the run reaches the projection that clips reject to accept
+            clipped = (fast.action == SV) & (fast.tau_r_after == fast.tau_a_after)
+            assert clipped.any()
         assert_traces_equal(fast, slow)
         assert_matches_reference(slow, reference_engine(cfg, make_stream(spec), horizon))
 
@@ -407,19 +414,28 @@ class TestEngineKernelAgreement:
     def test_compiled_kernel_equals_its_python_source(self):
         pytest.importorskip("numba")
         rng = np.random.default_rng(0)
+        table = _kernel.increments(0.15, 0.05, 0.05, 0.1, 0.3)
+        hit = set()
         for _ in range(2_000):
             tr, ta = sorted(rng.choice([0.0, -0.0, 0.1, 0.9, 1.0, rng.random()], 2))
-            args = (tr, ta, rng.choice([tr, ta, rng.random()]), int(rng.integers(2)),
-                    rng.choice([0.1, 0.3, 1.0]), 0.15, 0.05, 0.05)
+            w = rng.choice([tr, ta, rng.random()])
+            g = int(rng.integers(2))
+            args = (tr, ta, w, g, table)
             got = np.array(_kernel.step(*args))
             assert_bitwise_equal(got, np.array(_kernel.step.py_func(*args)), args)
+            region = 0 if w > ta else 1 if w < tr else 2
+            hit.add((region, g, bool(w == tr == ta)))
+        # every entry of the table, and a score on two equal thresholds
+        assert {(r, g) for r, g, _ in hit} == {(r, g) for r in range(3) for g in range(2)}
+        assert any(tie for *_, tie in hit)
         stream = make_stream(preset_drift(total_length=20_000, seed=8))
         w, g = stream.take(20_000)
         u = rng.random(w.size)
+        table = _kernel.increments(0.1, 0.1, 0.05, 0.1, 0.3)
         runs = []
         for loop in (_kernel._loop, _kernel._loop.py_func):
             outs = (np.empty(w.size), np.empty(w.size), np.zeros(w.size, np.bool_))
-            end = loop(w, g.astype(np.int64), u, 0.1, 0.9, 0.1, 0.1, 0.05, 0.1, 0.3, *outs)
+            end = loop(w, g.astype(np.int64), u, 0.1, 0.9, table, 0.1, 0.3, *outs)
             runs.append((np.array(end[:2]), np.array(end[2]), *outs))
         for compiled, python in zip(*runs):
             assert_bitwise_equal(compiled, python)
