@@ -5,8 +5,10 @@ the column derivation both paths share.
 `run_rounds` replays the decide/feedback/advance protocol of
 `VerificationPolicy` over pre-drawn score, label, and exploration-uniform
 arrays. Its sequential loop carries only what is sequential: the threshold
-pair after each round and the exploration flag, which consumes the uniform
-pool cursor-wise, one draw per decisive round as the engine does. The
+pair after each round and the exploration flag. It reads the uniform pool
+as two boolean coins per uniform (below q_accept, below q_reject), one
+uniform per decisive round as the engine does, and stores the thresholds
+and flags straight into the returned float64 and bool arrays. The
 threshold update has one formula, `increments`: a run's six increments,
 one per region and strong label, computed once per run. `step`, the one
 the engine calls, and `_loop` apply its table with the same projection,
@@ -45,9 +47,9 @@ ACTION_ACCEPT = 0
 ACTION_REJECT = 1
 ACTION_STRONG_VERIFY = 2
 
-# Rounds per call of the loop. Without numba the loop runs over Python
-# lists of one chunk, small enough to stay in cache and to keep the lists'
-# memory O(chunk).
+# Rounds per call of the loop. Without numba the loop reads Python lists
+# of one chunk, small enough to stay in cache and to keep the lists'
+# memory O(chunk), and writes through memoryviews of the output arrays.
 _CHUNK = 1 << 12
 
 
@@ -94,21 +96,24 @@ def step(tr, ta, w, g, table):
 
 
 @njit(cache=True)
-def _loop(w, g, u, tr, ta, table, q_accept, q_reject, tau_r, tau_a, explored):
-    """One chunk of rounds from thresholds (tr, ta), reading uniforms from
-    u[0]. Fills tau_r/tau_a with the thresholds after each round and sets
-    explored where a decisive round escalated; returns the final
-    thresholds and the number of uniforms used. It applies the `increments`
-    table as `step` does, written out here because a call of `step` costs
-    as much as the rest of the round in plain Python. It assumes labels in
-    {0, 1}, tr <= ta and no NaN score, which its callers check."""
+def _loop(w, g, accept_coin, reject_coin, tr, ta, table, tau_r, tau_a, explored):
+    """One chunk of rounds from thresholds (tr, ta). A decisive round reads
+    the next exploration coin, from coin 0 on: accept_coin[i] and
+    reject_coin[i] say whether the i-th uniform falls below q_accept and
+    q_reject, the test `policy._route` makes. Stores the thresholds after
+    each round in tau_r/tau_a and sets explored where a decisive round
+    escalated; returns the final thresholds and the number of coins used.
+    It applies the `increments` table as `step` does, written out here
+    because a call of `step` costs as much as the rest of the round in
+    plain Python. It assumes labels in {0, 1}, tr <= ta and no NaN score,
+    which its callers check."""
     accept, reject, uncertain = table
     cursor = 0
     for t in range(len(w)):
         wt = w[t]
         if wt > ta:
             cursor += 1
-            if u[cursor - 1] >= q_accept:
+            if not accept_coin[cursor - 1]:
                 tau_r[t] = tr
                 tau_a[t] = ta
                 continue
@@ -116,7 +121,7 @@ def _loop(w, g, u, tr, ta, table, q_accept, q_reject, tau_r, tau_a, explored):
             d_r, d_a = accept[g[t]]
         elif wt < tr:
             cursor += 1
-            if u[cursor - 1] >= q_reject:
+            if not reject_coin[cursor - 1]:
                 tau_r[t] = tr
                 tau_a[t] = ta
                 continue
@@ -157,21 +162,18 @@ def run_rounds(
     table = increments(alpha, beta, eta, q_accept, q_reject)
     tr = tau_reject_init
     ta = tau_accept_init
+    outs = (tau_r_after, tau_a_after, explored)
+    if not _HAVE_NUMBA:
+        outs = tuple(memoryview(a) for a in outs)
     cursor = 0
     for lo in range(0, T, _CHUNK):
         chunk = slice(lo, lo + _CHUNK)
-        n = min(_CHUNK, T - lo)
-        ins = (w[chunk], g[chunk], u[cursor:cursor + n])
-        if _HAVE_NUMBA:
-            outs = (tau_r_after[chunk], tau_a_after[chunk], explored[chunk])
-        else:
-            ins = tuple(a.tolist() for a in ins)
-            outs = ([0.0] * n, [0.0] * n, bytearray(n))
-        tr, ta, used = _loop(*ins, tr, ta, table, q_accept, q_reject, *outs)
-        cursor += used
+        u_chunk = u[cursor:cursor + min(_CHUNK, T - lo)]
+        ins = (w[chunk], g[chunk], u_chunk < q_accept, u_chunk < q_reject)
         if not _HAVE_NUMBA:
-            tau_r_after[chunk], tau_a_after[chunk] = outs[:2]
-            explored[chunk] = np.frombuffer(outs[2], np.bool_)
+            ins = tuple(a.tolist() for a in ins)
+        tr, ta, used = _loop(*ins, tr, ta, table, *(a[chunk] for a in outs))
+        cursor += used
     cols = derive_columns(
         w, g, explored, tau_r_after, tau_a_after, q_accept, q_reject, tau_reject_init, tau_accept_init
     )

@@ -196,12 +196,15 @@ def _in_order(works, procs: int, what: str) -> Iterator[Iterator]:
     `copy(dest)`, one per work and in its order, each of which writes that
     work's result to the binary file `dest`; call each before the next.
 
-    A work is taken from `works` just before it starts, so it runs on from
-    the state the works before it left. With `procs` > 1 up to `procs`
-    works run at once, each in a process of its own (`_fork`): `copy`
-    copies the bytes from its pipe and then waits for it (`_wait`). Where
-    `procs` is 1, and from the first fork that fails on, `copy` runs the
-    work itself. No process outlives the block."""
+    A work runs on from the state the works taken before it left. With
+    `procs` > 1 up to `procs` works run at once, each in a process of its
+    own (`_fork`): `copy` copies the bytes from its pipe and then waits for
+    it (`_wait`), and the next work is taken as soon as one has been forked,
+    before the next `copy` is yielded, so that what taking it does here
+    overlaps the running works. Where `procs` is 1, and from the first fork
+    that fails on, a work is taken just before it starts and `copy` runs it
+    itself, since it reads the state that taking the next one would move
+    on. No process outlives the block."""
     works, started = iter(works), collections.deque()
 
     def copy(dest) -> None:
@@ -217,12 +220,14 @@ def _in_order(works, procs: int, what: str) -> Iterator[Iterator]:
 
     def copies():
         nonlocal procs
+        work = None
         while True:
-            while len(started) < procs and (work := next(works, None)) is not None:
+            while len(started) < procs and (work := work or next(works, None)) is not None:
                 got = _fork(work) if procs > 1 else None
                 if got is None:
                     procs, got = 1, (None, work)
                 started.append(got)
+                work = next(works, None) if procs > 1 else None
             if not started:
                 return
             yield copy

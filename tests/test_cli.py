@@ -455,6 +455,32 @@ class TestRangedSimulate:
             self.run(tmp_path, capsys)
 
 
+@pytest.mark.parametrize("procs, events", [
+    # a forked work reads none of this process's state: the next is taken,
+    # which folds the range just started, before the first copy
+    (2, ["take 0", "fold 0", "take 1", "fold 1", "copied 0", "copied 1"]),
+    # a work run here reads its own range, so the next waits for its copy
+    (1, ["take 0", "copied 0", "fold 0", "take 1", "copied 1", "fold 1"]),
+])
+def test_in_order_takes_the_next_work_once_one_is_forked(procs, events):
+    log = []
+
+    def works():
+        for i in range(2):
+            log.append(f"take {i}")
+            yield lambda out, i=i: out.write(b"%d" % i)
+            log.append(f"fold {i}")
+
+    sink = io.BytesIO()
+    with cli._in_order(works(), procs, "testing") as copies:
+        for copy in copies:
+            copy(sink)
+            log.append(f"copied {sink.getvalue()[-1:].decode()}")
+    assert_no_children()
+    assert sink.getvalue() == b"01"
+    assert log == events
+
+
 def test_an_endless_stream_without_a_horizon_writes_nothing(tmp_path, capsys):
     cfg = write_config(tmp_path, "sim.json", {
         "policy": POLICY, "stream": UNIFORM_STREAM, "horizon": None, "seed_base": 0,

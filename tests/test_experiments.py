@@ -267,6 +267,8 @@ class TestEngineKernelAgreement:
         # thresholds that start equal, and steps large enough to cross
         ({"tau_reject_init": 0.5, "tau_accept_init": 0.5}, 2_000),
         ({"eta": 0.5, "q_accept": 0.05, "q_reject": 0.05}, 2_000),
+        # the accept and reject coins differ, across chunk edges
+        ({"q_accept": 0.3, "q_reject": 0.05}, 10_000),
     ])
     def test_paths_agree_on_edge_cases(self, kw, horizon):
         spec = {"kind": "calibrated", "score_dist": UniformDist().to_dict(), "seed": 3}
@@ -404,12 +406,15 @@ class TestEngineKernelAgreement:
 
     def test_array_containers_equal_list_containers(self, monkeypatch):
         # without numba, njit is the identity, so this runs the array branch
-        # in plain Python
+        # in plain Python; the second config has distinct accept and reject
+        # coins
         spec = preset_drift(total_length=9_000, seed=8)
-        lists = run_one(config(seed=17), make_stream(spec), horizon=9_000)
-        monkeypatch.setattr(_kernel, "_HAVE_NUMBA", True)
-        arrays = run_one(config(seed=17), make_stream(spec), horizon=9_000)
-        assert_traces_equal(lists, arrays)
+        for kw in ({}, {"q_accept": 0.3, "q_reject": 0.05}):
+            with monkeypatch.context() as m:
+                lists = run_one(config(seed=17, **kw), make_stream(spec), horizon=9_000)
+                m.setattr(_kernel, "_HAVE_NUMBA", True)
+                arrays = run_one(config(seed=17, **kw), make_stream(spec), horizon=9_000)
+            assert_traces_equal(lists, arrays)
 
     def test_compiled_kernel_equals_its_python_source(self):
         pytest.importorskip("numba")
@@ -435,7 +440,7 @@ class TestEngineKernelAgreement:
         runs = []
         for loop in (_kernel._loop, _kernel._loop.py_func):
             outs = (np.empty(w.size), np.empty(w.size), np.zeros(w.size, np.bool_))
-            end = loop(w, g.astype(np.int64), u, 0.1, 0.9, table, 0.1, 0.3, *outs)
+            end = loop(w, g.astype(np.int64), u < 0.1, u < 0.3, 0.1, 0.9, table, *outs)
             runs.append((np.array(end[:2]), np.array(end[2]), *outs))
         for compiled, python in zip(*runs):
             assert_bitwise_equal(compiled, python)
