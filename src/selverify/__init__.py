@@ -8,13 +8,12 @@ finite-time slack bound, synthetic verification environments, an
 experiment runner, and a CLI (`selverify`).
 
 The public names are those of the six modules' `__all__` lists, plus
-`__version__` and `kernel_backend`.
+`__version__`.
 """
 
 __version__ = "0.1.0"
 
 from . import distributions, experiments, metrics, policy, population, streams
-from ._kernel import kernel_backend
 from .distributions import *  # noqa: F401,F403
 from .experiments import *  # noqa: F401,F403
 from .metrics import *  # noqa: F401,F403
@@ -22,7 +21,7 @@ from .policy import *  # noqa: F401,F403
 from .population import *  # noqa: F401,F403
 from .streams import *  # noqa: F401,F403
 
-__all__ = ["__version__", "kernel_backend"] + [
+__all__ = ["__version__"] + [
     name
     for module in (distributions, experiments, metrics, policy, population, streams)
     for name in module.__all__

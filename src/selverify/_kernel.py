@@ -4,17 +4,18 @@ the column derivation both paths share.
 
 `run_rounds` replays the decide/feedback/advance protocol of
 `VerificationPolicy` over pre-drawn score, label, and exploration-uniform
-arrays. Its sequential loop carries only what is sequential: the threshold
-pair after each round and the exploration flag. It reads the uniform pool
-as two boolean coins per uniform (below q_accept, below q_reject), one
-uniform per decisive round as the engine does, and stores the thresholds
-and flags straight into the returned float64 and bool arrays. The
-threshold update has one formula, `increments`: a run's six increments,
-one per region and strong label, computed once per run. `step`, the one
-the engine calls, and `_loop` apply its table with the same projection,
-so results agree bitwise. The per-item engine records the same
-sequential state round by round, and `derive_columns` turns it into
-every other trace column with numpy for both. Integer codes:
+arrays, in one pure-Python loop call per block. The loop carries only what
+is sequential: the threshold pair after each round and the exploration
+flag. It reads the scores, the labels and the uniform pool, as two boolean
+coins per uniform (below q_accept, below q_reject), through memoryviews,
+one uniform per decisive round as the engine does, and stores the
+thresholds and flags through memoryviews of the returned float64 and bool
+arrays. The threshold update has one formula, `increments`: a run's six
+increments, one per region and strong label, computed once per run.
+`step`, the one the engine calls, and `_loop` apply its table with the
+same projection, so results agree bitwise. The per-item engine records
+the same sequential state round by round, and `derive_columns` turns it
+into every other trace column with numpy for both. Integer codes:
 region/action 0=accept, 1=reject, 2=uncertain or strong-verify;
 g_observed is -1 on rounds without a strong query.
 """
@@ -23,23 +24,6 @@ from __future__ import annotations
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
 REGION_ACCEPT = 0
 REGION_REJECT = 1
 REGION_UNCERTAIN = 2
@@ -47,15 +31,9 @@ ACTION_ACCEPT = 0
 ACTION_REJECT = 1
 ACTION_STRONG_VERIFY = 2
 
-# Rounds per call of the loop. Without numba the loop reads Python lists
-# of one chunk, small enough to stay in cache and to keep the lists'
-# memory O(chunk), and writes through memoryviews of the output arrays.
+# The policy's block of exploration uniforms, and the rounds per chunk of a
+# `simulate` or `check` run.
 _CHUNK = 1 << 12
-
-
-def kernel_backend() -> str:
-    """Which path `run_rounds` takes: "numba" (compiled) or "python"."""
-    return "numba" if _HAVE_NUMBA else "python"
 
 
 def increments(alpha, beta, eta, q_accept, q_reject):
@@ -74,7 +52,6 @@ def increments(alpha, beta, eta, q_accept, q_reject):
     )
 
 
-@njit(cache=True)
 def step(tr, ta, w, g, table):
     """Thresholds after an escalated round with score w and strong label g,
     by the `increments` table of the run. The accept threshold moves first;
@@ -95,9 +72,9 @@ def step(tr, ta, w, g, table):
     return new_r, new_a
 
 
-@njit(cache=True)
 def _loop(w, g, accept_coin, reject_coin, tr, ta, table, tau_r, tau_a, explored):
-    """One chunk of rounds from thresholds (tr, ta). A decisive round reads
+    """A block of rounds from thresholds (tr, ta), over indexable inputs and
+    outputs (`run_rounds` passes memoryviews). A decisive round reads
     the next exploration coin, from coin 0 on: accept_coin[i] and
     reject_coin[i] say whether the i-th uniform falls below q_accept and
     q_reject, the test `policy._route` makes. Stores the thresholds after
@@ -154,26 +131,17 @@ def run_rounds(
 ):
     """Replay len(w) rounds. Returns the region, action, q, explored,
     g_observed and four threshold columns, and the number of uniforms
-    used."""
+    used. The inputs may be strided views. A round reads at most one
+    uniform, so only u[:T] is turned into coins."""
     T = w.shape[0]
     tau_r_after = np.empty(T, np.float64)
     tau_a_after = np.empty(T, np.float64)
     explored = np.zeros(T, np.bool_)
     table = increments(alpha, beta, eta, q_accept, q_reject)
-    tr = tau_reject_init
-    ta = tau_accept_init
-    outs = (tau_r_after, tau_a_after, explored)
-    if not _HAVE_NUMBA:
-        outs = tuple(memoryview(a) for a in outs)
-    cursor = 0
-    for lo in range(0, T, _CHUNK):
-        chunk = slice(lo, lo + _CHUNK)
-        u_chunk = u[cursor:cursor + min(_CHUNK, T - lo)]
-        ins = (w[chunk], g[chunk], u_chunk < q_accept, u_chunk < q_reject)
-        if not _HAVE_NUMBA:
-            ins = tuple(a.tolist() for a in ins)
-        tr, ta, used = _loop(*ins, tr, ta, table, *(a[chunk] for a in outs))
-        cursor += used
+    u = u[:T]
+    ins = map(memoryview, (w, g, u < q_accept, u < q_reject))
+    outs = map(memoryview, (tau_r_after, tau_a_after, explored))
+    *_, cursor = _loop(*ins, tau_reject_init, tau_accept_init, table, *outs)
     cols = derive_columns(
         w, g, explored, tau_r_after, tau_a_after, q_accept, q_reject, tau_reject_init, tau_accept_init
     )

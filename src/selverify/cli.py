@@ -50,7 +50,7 @@ import sys
 import tempfile
 from typing import Iterator, Optional, TextIO
 
-from . import __version__, _kernel, kernel_backend
+from . import __version__, _kernel
 from .distributions import dist_from_dict
 from .experiments import (
     ParetoPoint,
@@ -320,7 +320,6 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         cfg["seed_base"] = args.seed
     write = _trace_writer(cfg)
-    print(f"kernel backend: {kernel_backend()}", file=sys.stderr)
     out = _resolve_output(args.output, "trace.jsonl")
     with _atomic_write(out) as fh:
         cert, bounds, m = write(fh.buffer)  # bytes, past the text layer

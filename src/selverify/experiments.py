@@ -3,7 +3,7 @@
 A run drives one policy against one stream and records every round. One
 function, `_run_chunks`, chooses a run's path and gives its columns in
 chunks. For non-reactive streams that draw arrays the loop runs on
-pre-drawn arrays through the compiled kernel, which reproduces the engine
+pre-drawn arrays through the array kernel, which reproduces the engine
 bit for bit. So does a task stream whose difficulty is a point mass: its
 candidates do not depend on the decisions, so the kernel runs over its
 tape and the stream folds each chunk's final decisions in. Other streams

@@ -3,7 +3,6 @@
 import errno
 import functools
 import hashlib
-import importlib.util
 import io
 import itertools
 import json
@@ -29,7 +28,6 @@ from selverify import (
     RunSpec,
     Trace,
     UniformDist,
-    kernel_backend,
     preset_drift,
     preset_math_like,
     run_rep,
@@ -180,12 +178,12 @@ class TestSimulate:
         assert target.exists()
         assert not (tmp_path / "outbox").exists()
 
-    def test_kernel_backend_goes_to_stderr_only(self, tmp_path, capsys):
+    def test_simulate_writes_no_telemetry(self, tmp_path, capsys):
         out = tmp_path / "t.jsonl"
         assert main(["simulate", "-c", simulate_config(tmp_path, horizon=20), "-o", str(out)]) == EXIT_OK
         captured = capsys.readouterr()
-        assert captured.err == f"kernel backend: {kernel_backend()}\n"
-        assert "kernel backend" not in captured.out
+        assert captured.err == ""
+        assert "kernel" not in captured.out
         assert b"kernel" not in out.read_bytes()
 
     def test_a_horizon_on_a_task_stream_writes_a_prefix(self, tmp_path):
@@ -194,10 +192,6 @@ class TestSimulate:
         assert main(["simulate", "-c", cfg, "-o", str(out)]) == EXIT_OK
         assert [rec["t"] for rec in read_lines(out)[1:-1]] == list(range(1, 51))
         assert main(["check", str(out)]) == EXIT_OK
-
-    def test_kernel_backend_names_the_path_that_runs(self):
-        expected = "numba" if importlib.util.find_spec("numba") else "python"
-        assert kernel_backend() == expected
 
 
 # SHA-256 of `simulate` output, pinned from the dict-per-record writer

@@ -404,46 +404,25 @@ class TestEngineKernelAgreement:
         with pytest.raises(ValueError, match="strong label must be 0 or 1, got 2"):
             run_one(config(q_accept=1.0, q_reject=1.0), stream, echo={})
 
-    def test_array_containers_equal_list_containers(self, monkeypatch):
-        # without numba, njit is the identity, so this runs the array branch
-        # in plain Python; the second config has distinct accept and reject
-        # coins
-        spec = preset_drift(total_length=9_000, seed=8)
-        for kw in ({}, {"q_accept": 0.3, "q_reject": 0.05}):
-            with monkeypatch.context() as m:
-                lists = run_one(config(seed=17, **kw), make_stream(spec), horizon=9_000)
-                m.setattr(_kernel, "_HAVE_NUMBA", True)
-                arrays = run_one(config(seed=17, **kw), make_stream(spec), horizon=9_000)
-            assert_traces_equal(lists, arrays)
-
-    def test_compiled_kernel_equals_its_python_source(self):
-        pytest.importorskip("numba")
-        rng = np.random.default_rng(0)
-        table = _kernel.increments(0.15, 0.05, 0.05, 0.1, 0.3)
-        hit = set()
-        for _ in range(2_000):
-            tr, ta = sorted(rng.choice([0.0, -0.0, 0.1, 0.9, 1.0, rng.random()], 2))
-            w = rng.choice([tr, ta, rng.random()])
-            g = int(rng.integers(2))
-            args = (tr, ta, w, g, table)
-            got = np.array(_kernel.step(*args))
-            assert_bitwise_equal(got, np.array(_kernel.step.py_func(*args)), args)
-            region = 0 if w > ta else 1 if w < tr else 2
-            hit.add((region, g, bool(w == tr == ta)))
-        # every entry of the table, and a score on two equal thresholds
-        assert {(r, g) for r, g, _ in hit} == {(r, g) for r in range(3) for g in range(2)}
-        assert any(tie for *_, tie in hit)
-        stream = make_stream(preset_drift(total_length=20_000, seed=8))
-        w, g = stream.take(20_000)
-        u = rng.random(w.size)
-        table = _kernel.increments(0.1, 0.1, 0.05, 0.1, 0.3)
-        runs = []
-        for loop in (_kernel._loop, _kernel._loop.py_func):
-            outs = (np.empty(w.size), np.empty(w.size), np.zeros(w.size, np.bool_))
-            end = loop(w, g.astype(np.int64), u < 0.1, u < 0.3, 0.1, 0.9, table, *outs)
-            runs.append((np.array(end[:2]), np.array(end[2]), *outs))
-        for compiled, python in zip(*runs):
-            assert_bitwise_equal(compiled, python)
+    @pytest.mark.parametrize("T", [0, 1, 4_097])
+    def test_the_kernel_reads_strided_views_as_their_copies(self, T):
+        # the run's own chunks are always contiguous; the kernel's
+        # memoryviews must read any stride, and only u[:T] of a longer pool
+        rng = np.random.default_rng(T)
+        w = rng.uniform(0.0, 1.0, 2 * T)
+        g = (rng.uniform(0.0, 1.0, 2 * T) < w).astype(np.int64)
+        u = rng.uniform(0.0, 1.0, 3 * T + 5)[::3]
+        args = (0.1, 0.15, 0.05, 0.3, 0.05, 0.1, 0.9)
+        views = (w[::2], g[::2], u)
+        if T > 1:
+            assert not any(a.flags.c_contiguous for a in views)
+        strided = _kernel.run_rounds(*views, *args)
+        contiguous = _kernel.run_rounds(*(np.ascontiguousarray(a) for a in views), *args)
+        for i, (a, b) in enumerate(zip(strided[:9], contiguous[:9])):
+            assert_bitwise_equal(a, b, i)
+        assert type(strided[-1]) is int and strided[-1] == contiguous[-1] <= T
+        if T > 1:
+            assert strided[-1] > 0 and strided[3].any()
 
 
 def score_laws():

@@ -9,7 +9,7 @@ MODULES = (distributions, experiments, metrics, policy, population, streams)
 def test_the_package_exports_every_module_name_once():
     names = selverify.__all__
     assert len(names) == len(set(names))
-    assert set(names) == {"__version__", "kernel_backend"}.union(
+    assert set(names) == {"__version__"}.union(
         *(module.__all__ for module in MODULES)
     )
     for name in names:
