@@ -22,21 +22,18 @@ is given (`_Compare`), so a file passes only if it is byte for byte the
 run its header describes. The pipeline takes the run's column chunks from
 `experiments._run_chunks`, which `run_one` reads too, and formats ranges
 of rounds of a non-reactive stream in parallel forked processes, up to one
-per CPU this process may run on (`_process_count`), through one helper,
-`_in_order`: a worker keeps its rows in its own memory and hands the bytes
-back through a pipe, and the command process alone copies them into the
-sink, in order. Where a fork fails, the command process runs that range
-and every later one itself. Output, verdicts and exit codes do not depend
-on the number of processes. sweep runs its repetitions in forked workers
-through the same helpers (`experiments._sweep_rows`): this process runs
-the first share of them and reads the other shares' results back, so its
-CSV does not depend on the number of processes either.
+per CPU this process may run on (`_process_count`), through
+`experiments._in_order`, the one helper that forks, for sweeps too: a
+worker keeps its rows in its own memory and hands the bytes back through a
+pipe, and the command process alone copies them into the sink, in order.
+Where a fork fails, the command process runs that range and every later
+one itself; where another thread is alive, it runs them all. Output,
+verdicts, CSV rows and exit codes do not depend on the number of processes.
 """
 
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import csv
 import dataclasses
@@ -58,13 +55,11 @@ from .experiments import (
     _Certificate,
     _REQUIRED,
     _check_horizon,
-    _fork,
+    _in_order,
     _process_count,
-    _reap,
     _record_chunks,
     _rep_setup,
     _run_chunks,
-    _wait,
     _write_rows,
     check_claims,
     run_rep,  # not called here: the benchmark's tracer wraps cli.run_rep
@@ -187,55 +182,6 @@ def _summary_metrics(ledger: ErrorLedger) -> dict:
         "err_type2_threshold": ledger.err_type2_threshold(),
         "sv_rate": ledger.sv_rate(),
     }
-
-
-@contextlib.contextmanager
-def _in_order(works, procs: int, what: str) -> Iterator[Iterator]:
-    """Run the callables `work(out)` of `works`, each of which writes its
-    result to the binary file `out`, and yield an iterator of functions
-    `copy(dest)`, one per work and in its order, each of which writes that
-    work's result to the binary file `dest`; call each before the next.
-
-    A work runs on from the state the works taken before it left. With
-    `procs` > 1 up to `procs` works run at once, each in a process of its
-    own (`_fork`): `copy` copies the bytes from its pipe and then waits for
-    it (`_wait`), and the next work is taken as soon as one has been forked,
-    before the next `copy` is yielded, so that what taking it does here
-    overlaps the running works. Where `procs` is 1, and from the first fork
-    that fails on, a work is taken just before it starts and `copy` runs it
-    itself, since it reads the state that taking the next one would move
-    on. No process outlives the block."""
-    works, started = iter(works), collections.deque()
-
-    def copy(dest) -> None:
-        pid, got = started[0]
-        if pid is None:
-            started.popleft()
-            got(dest)
-            return
-        with got:
-            shutil.copyfileobj(got, dest)
-        started.popleft()
-        _wait(pid, what)
-
-    def copies():
-        nonlocal procs
-        work = None
-        while True:
-            while len(started) < procs and (work := work or next(works, None)) is not None:
-                got = _fork(work) if procs > 1 else None
-                if got is None:
-                    procs, got = 1, (None, work)
-                started.append(got)
-                work = next(works, None) if procs > 1 else None
-            if not started:
-                return
-            yield copy
-
-    try:
-        yield copies()
-    finally:
-        _reap(started)  # what a failed command leaves
 
 
 def _format_range(chunks, cert: _Certificate, out) -> None:

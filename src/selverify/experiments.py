@@ -26,12 +26,15 @@ seeds shared across targets and anchors so comparisons are paired; where
 the difficulty draws nothing, the rows of a repetition also read one tape
 of candidates, each drawn once. A sweep splits its repetitions into
 contiguous shares, one per CPU: the calling process runs the first and
-forked workers (`_fork`, which `simulate` and `check` use too) the others,
-and the rows do not depend on how many processes ran them.
+forked workers the others, and the rows do not depend on how many
+processes ran them. One helper, `_in_order`, forks every worker, for
+sweeps, `simulate` and `check` alike.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import dataclasses
 import functools
 import io
@@ -41,6 +44,7 @@ import math
 import operator
 import os
 import pickle
+import shutil
 import sys
 import threading
 from dataclasses import dataclass, field
@@ -852,18 +856,68 @@ def _wait(pid: int, what: str) -> None:
         raise ChildProcessError(f"the process {what} ended by {how}")
 
 
-def _reap(started) -> None:
-    """Kill, and wait for, the process of each (pid, pipe) of `started`
-    that has a pid: what a failed call leaves."""
-    for pid, pipe in started:
-        if pid is not None:
-            import signal  # not with the package: only a failed call needs it
+@contextlib.contextmanager
+def _in_order(works, procs: int, what: str) -> Iterator[Iterator]:
+    """Run the callables `work(out)` of `works`, each of which writes its
+    result to the binary file `out`, and yield an iterator of functions
+    `copy(dest)`, one per work and in its order, each of which writes that
+    work's result to the binary file `dest`; call each before the next.
+    This is the one place that forks: `simulate`, `check` and sweeps run
+    their workers through it.
 
-            # kill before waiting: the processes forked later hold this
-            # pipe's read end too, so closing it does not stop the writer
-            os.kill(pid, signal.SIGKILL)
-            pipe.close()
-            os.waitpid(pid, 0)
+    A work runs on from the state the works taken before it left. With
+    `procs` > 1 up to `procs` works run at once, each in a process of its
+    own (`_fork`); the first start as the block is entered, so that what
+    the block does before its first `copy` overlaps them. `copy` copies the
+    bytes from its pipe and then waits for it (`_wait`), and the next work
+    is taken as soon as one has been forked, before the next `copy` is
+    yielded. Where `procs` is 1, where another thread is alive (a fork
+    copies only the calling thread), and from the first fork that fails
+    on, a work is taken only once the one before it has run, and `copy`
+    runs it itself, since it reads the state that taking the next one would
+    move on. No process outlives the block."""
+    works, started, work = iter(works), collections.deque(), None
+    if threading.active_count() > 1:
+        procs = 1
+
+    def start() -> None:
+        nonlocal procs, work
+        while len(started) < procs and (work := work or next(works, None)) is not None:
+            got = _fork(work) if procs > 1 else None
+            if got is None:
+                procs, got = 1, (None, work)
+            started.append(got)
+            work = next(works, None) if procs > 1 else None
+
+    def copy(dest) -> None:
+        pid, got = started[0]
+        if pid is None:
+            started.popleft()
+            got(dest)
+            return
+        with got:
+            shutil.copyfileobj(got, dest)
+        started.popleft()
+        _wait(pid, what)
+
+    def copies():
+        while started:
+            yield copy
+            start()
+
+    try:
+        start()
+        yield copies()
+    finally:  # what a failed call leaves
+        for pid, pipe in started:
+            if pid is not None:
+                import signal  # not with the package: only a failed call needs it
+
+                # kill before waiting: the processes forked later hold this
+                # pipe's read end too, so closing it does not stop the writer
+                os.kill(pid, signal.SIGKILL)
+                pipe.close()
+                os.waitpid(pid, 0)
 
 
 def _rep_runs(policy_template: PolicyConfig, stream_spec: dict, jobs: list, seed_base: int, reps) -> list:
@@ -904,41 +958,29 @@ def _sweep_rows(
     """The rows of checked jobs, run repetition-major (`_rep_runs`).
 
     The repetitions are split into `min(_process_count(), repetitions)`
-    contiguous shares, the larger first. A process is forked for each share
-    but the first (`_fork`), then this process runs the first share, and
-    then it reads each worker's pickled runs, in share order. Where a fork
-    fails, this process runs that share and every later one itself; it runs
-    them all where another thread is alive, since a fork copies only the
-    calling thread. No worker outlives the call. The rows do not depend on
-    the number of processes: repetition r reads the seeds of r alone."""
+    contiguous shares, the larger first. Every share but the first is an
+    `_in_order` work that pickles its runs, so it runs in a worker process
+    as its rules allow; this process runs the first share inside the block,
+    while the workers run, and then unpickles each share's runs in share
+    order. The rows do not depend on the number of processes: repetition r
+    reads the seeds of r alone."""
     _check_count("repetitions", repetitions, 1)
     _check_count("seed_base", seed_base, 0)
     if not make_stream(stream_spec).reactive:
         raise ValueError("sweeps need a task stream with per-problem outcomes")
     run = functools.partial(_rep_runs, policy_template, stream_spec, jobs, seed_base)
-    procs = min(_process_count(), repetitions) if threading.active_count() == 1 else 1
+    procs = min(_process_count(), repetitions)
     size, extra = divmod(repetitions, procs)
     starts = [i * size + min(i, extra) for i in range(procs + 1)]
     first, *rest = [range(a, b) for a, b in zip(starts, starts[1:])]
-    started = []
-    try:
-        for share in rest:
-            got = _fork(lambda out, share=share: pickle.dump(run(share), out, pickle.HIGHEST_PROTOCOL))
-            if got is None:
-                break
-            started.append(got)
+    works = [lambda out, share=share: pickle.dump(run(share), out, pickle.HIGHEST_PROTOCOL) for share in rest]
+    with _in_order(works, procs, "running part of the sweep") as copies:
         per_rep = run(first)
-        left = [runs for share in rest[len(started):] for runs in run(share)]
-        while started:
-            pid, pipe = started[0]
-            with pipe:
-                got = pipe.read()
-            del started[0]
-            _wait(pid, "running part of the sweep")
-            per_rep += pickle.loads(got)
-    finally:
-        _reap(started)
-    return [_aggregate_point(job, job_runs) for job, job_runs in zip(jobs, zip(*per_rep, *left))]
+        for copy in copies:
+            got = io.BytesIO()
+            copy(got)
+            per_rep += pickle.loads(got.getvalue())
+    return [_aggregate_point(job, job_runs) for job, job_runs in zip(jobs, zip(*per_rep))]
 
 
 def sweep_point(

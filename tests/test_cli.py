@@ -355,7 +355,7 @@ class TestRangedSimulate:
 
     def test_no_more_writers_run_at_once_than_processes(self, tmp_path, capsys, monkeypatch, honest):
         monkeypatch.setattr(cli, "_RANGE_CHUNKS", 1)  # six writers
-        fork, wait = cli._fork, cli._wait
+        fork, wait = experiments._fork, experiments._wait
         live, most = set(), []
 
         def counted_fork(work):
@@ -368,8 +368,8 @@ class TestRangedSimulate:
             live.discard(pid)
             return wait(pid, what)
 
-        monkeypatch.setattr(cli, "_fork", counted_fork)
-        monkeypatch.setattr(cli, "_wait", counted_wait)
+        monkeypatch.setattr(experiments, "_fork", counted_fork)
+        monkeypatch.setattr(experiments, "_wait", counted_wait)
         assert self.run(tmp_path, capsys)[0] == EXIT_OK
         assert (len(most), max(most)) == (6, 2)
         assert (tmp_path / "trace.jsonl").read_bytes() == honest
@@ -436,6 +436,29 @@ class TestRangedSimulate:
         assert out.err.splitlines()[-1] == "error: weak score must be in [0, 1], got nan"
         assert list(tmp_path.iterdir()) == [tmp_path / "sim.json"]
 
+    def test_a_run_beside_another_thread_forks_no_writer(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_RANGE_CHUNKS", 1)
+        monkeypatch.setattr(cli, "_process_count", lambda: 1)
+        assert self.run(tmp_path, capsys)[0] == EXIT_OK
+        one = (tmp_path / "trace.jsonl").read_bytes()
+
+        def no_fork():
+            raise AssertionError("a writer was forked")
+
+        monkeypatch.setattr(cli, "_process_count", lambda: 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert self.run(tmp_path, capsys)[0] == EXIT_OK
+            assert (tmp_path / "trace.jsonl").read_bytes() == one
+            assert main(["check", str(tmp_path / "trace.jsonl")]) == EXIT_OK
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+
     def test_a_run_of_one_range_forks_no_writer(self, tmp_path, capsys, monkeypatch, honest):
         def no_fork():
             raise AssertionError("a writer was forked")
@@ -450,11 +473,12 @@ class TestRangedSimulate:
 
 
 @pytest.mark.parametrize("procs, events", [
-    # a forked work reads none of this process's state: the next is taken,
-    # which folds the range just started, before the first copy
-    (2, ["take 0", "fold 0", "take 1", "fold 1", "copied 0", "copied 1"]),
+    # a forked work reads none of this process's state: the works start as
+    # the block is entered, and the next is taken, which folds the range
+    # just started, before the first copy
+    (2, ["take 0", "fold 0", "take 1", "fold 1", "entered", "copied 0", "copied 1"]),
     # a work run here reads its own range, so the next waits for its copy
-    (1, ["take 0", "copied 0", "fold 0", "take 1", "copied 1", "fold 1"]),
+    (1, ["take 0", "entered", "copied 0", "fold 0", "take 1", "copied 1", "fold 1"]),
 ])
 def test_in_order_takes_the_next_work_once_one_is_forked(procs, events):
     log = []
@@ -466,7 +490,8 @@ def test_in_order_takes_the_next_work_once_one_is_forked(procs, events):
             log.append(f"fold {i}")
 
     sink = io.BytesIO()
-    with cli._in_order(works(), procs, "testing") as copies:
+    with experiments._in_order(works(), procs, "testing") as copies:
+        log.append("entered")
         for copy in copies:
             copy(sink)
             log.append(f"copied {sink.getvalue()[-1:].decode()}")
