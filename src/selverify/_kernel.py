@@ -12,10 +12,11 @@ one uniform per decisive round as the engine does, and stores the
 thresholds and flags through memoryviews of the returned float64 and bool
 arrays. The threshold update has one formula, `increments`: a run's six
 increments, one per region and strong label, computed once per run.
-`step`, the one the engine calls, and `_loop` apply its table with the
-same projection, so results agree bitwise. The per-item engine records
-the same sequential state round by round, and `derive_columns` turns it
-into every other trace column with numpy for both. Integer codes:
+`step`, which `VerificationPolicy.feedback` calls, and `_loop` apply its
+table with the same projection, so results agree bitwise. The per-item
+engine records the same sequential state round by round, and
+`derive_columns` turns it into every other trace column with numpy for
+both. Integer codes:
 region/action 0=accept, 1=reject, 2=uncertain or strong-verify;
 g_observed is -1 on rounds without a strong query.
 """
@@ -77,13 +78,13 @@ def _loop(w, g, accept_coin, reject_coin, tr, ta, table, tau_r, tau_a, explored)
     outputs (`run_rounds` passes memoryviews). A decisive round reads
     the next exploration coin, from coin 0 on: accept_coin[i] and
     reject_coin[i] say whether the i-th uniform falls below q_accept and
-    q_reject, the test `policy._route` makes. Stores the thresholds after
-    each round in tau_r/tau_a and sets explored where a decisive round
-    escalated; returns the final thresholds and the number of coins used.
-    It applies the `increments` table as `step` does, written out here
-    because a call of `step` costs as much as the rest of the round in
-    plain Python. It assumes labels in {0, 1}, tr <= ta and no NaN score,
-    which its callers check."""
+    q_reject, the test `VerificationPolicy.decide` makes. Stores the
+    thresholds after each round in tau_r/tau_a and sets explored where a
+    decisive round escalated; returns the final thresholds and the number
+    of coins used. It applies the `increments` table as `step` does,
+    written out here because a call of `step` costs as much as the rest of
+    the round in plain Python. It assumes labels in {0, 1}, tr <= ta and
+    no NaN score, which its callers check."""
     accept, reject, uncertain = table
     cursor = 0
     for t in range(len(w)):

@@ -57,6 +57,7 @@ from ._kernel import ACTION_ACCEPT, ACTION_REJECT, ACTION_STRONG_VERIFY
 from .metrics import ErrorLedger, delta_bound
 from .policy import (
     Action, PolicyConfig, ProtocolError, Region, VerificationPolicy, _check_count, _check_pair,
+    final_decision,
 )
 from .streams import VerifierStream, _TaskStream, make_stream, run_strong_only, run_weak_only
 
@@ -286,25 +287,16 @@ def _write_rows(fh: TextIO, cols: dict) -> None:
 
 
 def _record_chunks(records: Iterable[dict]) -> Iterator[dict]:
-    """The columns of round records (`Trace` attribute -> array), a fresh
-    chunk of `_kernel._CHUNK` rows at a time; the last chunk is short, and
-    empty if the records end with a full one. The records are taken
-    `_CHUNK_IN` at a time. Raises KeyError, TypeError or OverflowError on
-    a record that is not one."""
+    """The columns of round records (`Trace` attribute -> array), a chunk
+    per `_CHUNK_IN` records, parsed a column at a time; the last chunk is
+    short. Raises KeyError, TypeError or OverflowError on a record that is
+    not one."""
     records = iter(records)
-    size = n = _kernel._CHUNK
-    while n == size:  # until a chunk comes out short
-        cols = {c.attr: np.empty(size, c.dtype) for c in _COLUMNS}
-        n = 0
-        while n < size and (chunk := list(itertools.islice(records, min(_CHUNK_IN, size - n)))):
-            end = n + len(chunk)
-            for c, vals in zip(_REQUIRED, zip(*map(_GET_REQUIRED, chunk))):
-                cols[c.attr][n:end] = c.parse(vals)
-            for c in _OPTIONAL:
-                cols[c.attr][n:end] = c.parse([rec[c.key] if c.key in rec else -1 for rec in chunk])
-            n = end
-            del chunk  # let its records go before the next ones are decoded
-        yield cols if n == size else {attr: a[:n] for attr, a in cols.items()}
+    while chunk := list(itertools.islice(records, _CHUNK_IN)):
+        cols = {c.attr: c.parse(vals) for c, vals in zip(_REQUIRED, zip(*map(_GET_REQUIRED, chunk)))}
+        for c in _OPTIONAL:
+            cols[c.attr] = c.parse([rec[c.key] if c.key in rec else -1 for rec in chunk])
+        yield cols
 
 
 # Every finite float64 is an integer multiple of 2**-1074.
@@ -518,13 +510,14 @@ def _kernel_chunks(config: PolicyConfig, blocks: Iterable[tuple]) -> Iterator[di
     start = 1
     for w, g in blocks:
         w = np.asarray(w, np.float64)
-        g = np.asarray(g, np.int64)
+        g = np.asarray(g)
         bad = ~((w >= 0.0) & (w <= 1.0))  # also true for NaN
         if bad.any():
             raise ValueError(f"weak score must be in [0, 1], got {float(w[bad][0])}")
-        bad = (g != 0) & (g != 1)
+        bad = (g != 0) & (g != 1)  # checked before the cast, which would truncate 0.7 to 0
         if bad.any():
-            raise ValueError(f"strong label must be 0 or 1, got {int(g[bad][0])!r}")
+            raise ValueError(f"strong label must be 0 or 1, got {g[bad][0].item()!r}")
+        g = g.astype(np.int64, copy=False)
         if u.size < w.size:
             drawn = rng.random(w.size - u.size)
             u = np.concatenate([u, drawn]) if u.size else drawn  # a first block copies none
@@ -551,21 +544,23 @@ def _takes(stream, horizon: Optional[int], block: int) -> Iterator[tuple]:
 
 def _run_engine(config: PolicyConfig, stream, horizon: Optional[int]) -> dict:
     """The columns of the policy's run over `stream`, driven item by item
-    so that final decisions can feed back into the stream. Only the
-    sequential state is recorded per round: the score, the latent label,
-    the exploration flag and the thresholds after the round. A horizon
-    takes a prefix of the run."""
+    through `decide`, then `feedback` or `advance`, so that final decisions
+    can feed back into the stream. Every latent label is checked, escalated
+    or not, as the kernel path checks a block's. Only the sequential state
+    is recorded per round: the score, the latent label, the exploration
+    flag and the thresholds after the round. A horizon takes a prefix of
+    the run."""
     policy = VerificationPolicy(config)
-    route, update = policy._route, policy._update
     reactive = stream.reactive
     w, g_latent, explored, tau_r_after, tau_a_after = [], [], [], [], []
     while horizon is None or len(w) < horizon:
         item = stream.next()
         if item is None:
             break
-        wt = float(item.w)
-        region, _, expl = route(wt)
-        if expl or region is Region.UNCERTAIN:
+        rec = policy.decide(item.w)
+        if item.g_latent not in (0, 1):
+            raise ValueError(f"strong label must be 0 or 1, got {item.g_latent!r}")
+        if rec.action is Action.STRONG_VERIFY:
             g = stream.answer_strong_query()
             if g != item.g_latent:
                 # derive_columns reads g_observed off the latent labels
@@ -573,20 +568,16 @@ def _run_engine(config: PolicyConfig, stream, horizon: Optional[int]) -> dict:
                     f"strong query answered {g!r} for an item whose latent label is "
                     f"{item.g_latent!r}"
                 )
-            if g not in (0, 1):
-                raise ValueError(f"strong label must be 0 or 1, got {g!r}")
-            after = update(wt, int(g))
-            final = Action.ACCEPT if g == 1 else Action.REJECT
+            policy.feedback(g)
         else:
-            after = update(wt, None)
-            final = Action.ACCEPT if region is Region.ACCEPT else Action.REJECT
+            policy.advance()
         if reactive:
-            stream.react(final)
-        w.append(wt)
+            stream.react(final_decision(rec))
+        w.append(rec.w)
         g_latent.append(item.g_latent)
-        explored.append(expl)
-        tau_r_after.append(after.reject)
-        tau_a_after.append(after.accept)
+        explored.append(rec.explored)
+        tau_r_after.append(rec.thresholds_after.reject)
+        tau_a_after.append(rec.thresholds_after.accept)
     w = np.array(w, np.float64)
     g_latent = np.array(g_latent, np.int64)
     cols = _kernel.derive_columns(

@@ -224,11 +224,11 @@ class VerificationPolicy:
 
     Each round is two calls: `decide(w)` returns the action, then either
     `feedback(g)` (after the strong verifier was consulted) or `advance()`
-    (for unilateral accept/reject) finalizes the round. All three run on one
-    round core, which the per-item engine also drives directly: `_route`
-    checks the score, classifies it and, in a decisive region only, takes
-    the next exploration uniform; `_update` applies `_kernel.step` on an
-    escalated round and advances the round index. `step` reads the
+    (for unilateral accept/reject) finalizes the round; the per-item engine
+    runs every round through these three calls. `decide` checks the score,
+    classifies it and, in a decisive region only, takes the next
+    exploration uniform; `feedback` applies `_kernel.step`, and both
+    `feedback` and `advance` advance the round index. `step` reads the
     increments from the table of `_kernel.increments`, the one formula of
     the update, which the policy builds once from its config and the
     kernel's `_loop` applies as well. The uniforms are drawn a
@@ -265,41 +265,32 @@ class VerificationPolicy:
         """Index of the next (or currently pending) round, starting at 1."""
         return self._t
 
-    def _route(self, w: float) -> tuple[Region, float, bool]:
-        """Region of score w under the current thresholds, its escalation
-        probability q, and whether a decisive round explores."""
-        if not 0.0 <= w <= 1.0:  # also false for NaN
-            raise ValueError(f"weak score must be in [0, 1], got {w}")
-        region = classify(w, self._thresholds)
-        if region is Region.UNCERTAIN:
-            return region, 1.0, False
-        q = self._config.q_accept if region is Region.ACCEPT else self._config.q_reject
-        u = next(self._uniforms, None)
-        if u is None:
-            self._uniforms = iter(self._rng.random(_CHUNK).tolist())
-            u = next(self._uniforms)
-        return region, q, u < q
-
-    def _update(self, w: float, g: Optional[int]) -> Thresholds:
-        """Close the round of score w and return the thresholds after it.
-        An escalated round (strong label g) moves them; a unilateral one
-        (g None) leaves them."""
-        if g is not None:
-            th = self._thresholds
-            self._thresholds = Thresholds(*step(th.reject, th.accept, w, g, self._table))
-        self._t += 1
-        return self._thresholds
-
     def decide(self, w: float) -> DecisionRecord:
+        """Open a round for score w in [0, 1] and return its record. The
+        score is classified under the current thresholds; a decisive round
+        takes the next exploration uniform and escalates where it falls
+        below the region's q, an uncertain round always escalates. The
+        round stays pending until `feedback` or `advance` closes it."""
         if self._pending is not None:
             raise ProtocolError("previous round not finalized; call feedback or advance")
         w = float(w)
+        if not 0.0 <= w <= 1.0:  # also false for NaN
+            raise ValueError(f"weak score must be in [0, 1], got {w}")
         th = self._thresholds
-        region, q, explored = self._route(w)
-        if explored or region is Region.UNCERTAIN:
-            action = Action.STRONG_VERIFY
+        region = classify(w, th)
+        if region is Region.UNCERTAIN:
+            q, explored, action = 1.0, False, Action.STRONG_VERIFY
         else:
-            action = Action.ACCEPT if region is Region.ACCEPT else Action.REJECT
+            q = self._config.q_accept if region is Region.ACCEPT else self._config.q_reject
+            u = next(self._uniforms, None)
+            if u is None:
+                self._uniforms = iter(self._rng.random(_CHUNK).tolist())
+                u = next(self._uniforms)
+            explored = u < q
+            if explored:
+                action = Action.STRONG_VERIFY
+            else:
+                action = Action.ACCEPT if region is Region.ACCEPT else Action.REJECT
         rec = DecisionRecord(
             t=self._t,
             w=w,
@@ -322,11 +313,13 @@ class VerificationPolicy:
         if g not in (0, 1):
             raise ValueError(f"strong label must be 0 or 1, got {g!r}")
         g = int(g)
-        new = self._update(rec.w, g)
+        th = self._thresholds
+        self._thresholds = Thresholds(*step(th.reject, th.accept, rec.w, g, self._table))
+        self._t += 1
         rec.g_observed = g
-        rec.thresholds_after = new
+        rec.thresholds_after = self._thresholds
         self._pending = None
-        return new
+        return self._thresholds
 
     def advance(self) -> None:
         """Finalize a unilateral accept/reject round; thresholds are untouched."""
@@ -335,5 +328,6 @@ class VerificationPolicy:
             raise ProtocolError("no pending round; call decide first")
         if rec.action is Action.STRONG_VERIFY:
             raise ProtocolError("pending round escalated; call feedback instead")
-        rec.thresholds_after = self._update(rec.w, None)
+        self._t += 1
+        rec.thresholds_after = self._thresholds
         self._pending = None

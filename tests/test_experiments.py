@@ -364,8 +364,9 @@ class TestEngineKernelAgreement:
 
         def take(self, n):
             items = list(itertools.islice(self._items, n))
+            # the labels pass through uncast, so the kernel path checks them
             return (np.array([i.w for i in items], np.float64),
-                    np.array([i.g_latent for i in items], np.int64))
+                    np.array([i.g_latent for i in items]))
 
     def scripted(self, items, path):
         """`items` as a stream that runs on the engine, on the engine
@@ -397,12 +398,43 @@ class TestEngineKernelAgreement:
             run_one(config(q_accept=1e-9, q_reject=1e-9), stream, echo={})
 
     @pytest.mark.parametrize("path", ["engine", "reactive", "kernel"])
+    @pytest.mark.parametrize("q", [1.0, 1e-9])
+    @pytest.mark.parametrize("label", [2, -1, 0.7])
     @pytest.mark.parametrize("w", [0.5, 0.95, 0.05])
-    def test_the_engine_refuses_a_strong_label_outside_0_1(self, w, path):
-        # an uncertain round, or a decisive one that always explores
-        stream = self.scripted([StreamItem(0.5, 1), StreamItem(w, 2)], path)
-        with pytest.raises(ValueError, match="strong label must be 0 or 1, got 2"):
-            run_one(config(q_accept=1.0, q_reject=1.0), stream, echo={})
+    def test_the_engine_refuses_a_strong_label_outside_0_1(self, w, label, q, path):
+        # an uncertain round, or a decisive one that always explores (q = 1)
+        # or never does (q = 1e-9), where no strong query reads the label
+        stream = self.scripted([StreamItem(0.5, 1), StreamItem(w, label)], path)
+        with pytest.raises(ValueError, match=rf"strong label must be 0 or 1, got {label}$"):
+            run_one(config(q_accept=q, q_reject=q), stream, echo={})
+
+    @pytest.mark.parametrize("path", ["engine", "reactive", "kernel"])
+    def test_float_and_bool_labels_in_0_1_are_labels(self, path):
+        # a horizon at the last item, so the reactive stream is not asked for
+        # an outcome
+        ws = [0.5, 0.95, 0.05, 0.5]
+        runs = [
+            run_one(config(), self.scripted(list(map(StreamItem, ws, labels)), path), horizon=4, echo={})
+            for labels in ([1, 1, 0, 0], [1.0, True, 0.0, False])
+        ]
+        assert_traces_equal(*runs)
+
+    @pytest.mark.parametrize("spec, horizon", [
+        ({"kind": "calibrated", "score_dist": UniformDist().to_dict(), "seed": 8}, 3_000),
+        ({**preset_math_like("easy", problems=40, budget=3, seed=2),
+          "difficulty": BetaDist(4.0, 1.0).to_dict()}, None),
+    ])
+    def test_the_engine_runs_the_public_protocol(self, spec, horizon, monkeypatch):
+        calls = dict.fromkeys(["decide", "feedback", "advance"], 0)
+        for name in calls:
+            def counted(self, *args, _name=name, _call=getattr(VerificationPolicy, name)):
+                calls[_name] += 1
+                return _call(self, *args)
+            monkeypatch.setattr(VerificationPolicy, name, counted)
+        trace = run_one(config(seed=4), make_stream(spec), horizon=horizon, force_engine=True)
+        escalated = int((trace.action == SV).sum())
+        assert 0 < escalated < len(trace)
+        assert calls == {"decide": len(trace), "feedback": escalated, "advance": len(trace) - escalated}
 
     @pytest.mark.parametrize("T", [0, 1, 4_097])
     def test_the_kernel_reads_strided_views_as_their_copies(self, T):
